@@ -391,12 +391,24 @@ def _run_fixture_suite(tmp_path, tag):
     return outputs
 
 
+def _golden_outputs():
+    golden = FIXTURES / "golden"
+    codes = json.loads((golden / "exit_codes.json").read_text())
+    return {
+        tuple(stem.split("_", 1)): (code, (golden / stem).read_bytes())
+        for stem, code in codes.items()
+    }
+
+
 def test_criterion_8_deterministic_cli(tmp_path):
     """Two consecutive runs of the full CLI fixture suite produce
-    byte-identical outputs and identical exit codes."""
+    byte-identical outputs and identical exit codes, and the first run
+    matches the recorded golden outputs byte for byte."""
     first = _run_fixture_suite(tmp_path, "a")
     second = _run_fixture_suite(tmp_path, "b")
     diffs = [k for k in first if first[k] != second[k]]
-    ok = not diffs and first.keys() == second.keys()
+    golden = _golden_outputs()
+    drift = [k for k in golden if first.get(k) != golden[k]]
+    ok = not diffs and not drift and first.keys() == second.keys() == golden.keys()
     verdict(8, "byte-identical CLI outputs", ok, f"{len(first)} jobs")
-    assert ok, diffs
+    assert ok, (diffs, drift)
