@@ -111,6 +111,11 @@ SCHEMAS = {
 }
 
 
+# one prebuilt validator per schema: jsonschema.validate would re-check the
+# schema itself on every call
+VALIDATORS = {name: jsonschema.validators.validator_for(schema)(schema) for name, schema in SCHEMAS.items()}
+
+
 def _read_input(source):
     if source == "-":
         return sys.stdin.read()
@@ -248,9 +253,8 @@ def main(argv=None):
     except json.JSONDecodeError as exc:
         sys.stderr.write(f"error: malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}\n")
         return 2
-    try:
-        jsonschema.validate(data, SCHEMAS[args.command])
-    except jsonschema.ValidationError as exc:
+    exc = jsonschema.exceptions.best_match(VALIDATORS[args.command].iter_errors(data))
+    if exc is not None:
         path = "$" + "".join(f"[{p!r}]" for p in exc.absolute_path)
         sys.stderr.write(f"error: schema violation at {path}: {exc.message}\n")
         return 2

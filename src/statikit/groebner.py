@@ -16,8 +16,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import UnsupportedSupportError, ZeroVectorError
-from .linalg import dot, lex_positive, primitive
-from .polyhedral import Cone, Fan, PLStratification, _arrangement_fan
+from .linalg import dot, lex_positive, primitive, vneg
+from .polyhedral import Cone, Fan, PLStratification, _arrangement_fan, _tag_key
 
 
 # ---------------------------------------------------------------------------
@@ -63,10 +63,6 @@ def elim_key(split):
 # raw vector arithmetic (dicts keyed by (exp, comp))
 
 
-def vec_is_zero(v):
-    return not v
-
-
 def vec_axpy(target, coeff, shift, vec):
     """target += coeff * x^shift * vec, in place."""
     for (exp, comp), c in vec.items():
@@ -76,10 +72,6 @@ def vec_axpy(target, coeff, shift, vec):
             target[key] = new
         else:
             target.pop(key, None)
-
-
-def vec_scaled(vec, coeff):
-    return {t: c * coeff for t, c in vec.items()}
 
 
 def leading_term(vec, key):
@@ -567,18 +559,6 @@ class GroebnerStratification:
         return f"GroebnerStratification(cells={len(self.cells)}, strata={len(self.strata())})"
 
 
-def _cone_halfspace(cone, h):
-    from .polyhedral import double_description
-    from .linalg import vneg
-
-    normals = [tuple(h)] + list(cone.facet_normals)
-    for s in cone.span_normals:
-        normals.append(s)
-        normals.append(vneg(s))
-    _lin, rays = double_description(cone.ambient_dim, normals)
-    return Cone(cone.ambient_dim, rays)
-
-
 def _merge_cells(ambient_dim, cells):
     """Greedy convex merging of equal-tag cells glued along equal-tag walls."""
     cells = sorted(cells, key=lambda ct: ct[0].key())
@@ -592,7 +572,7 @@ def _merge_cells(ambient_dim, cells):
                 cj, tj = cells[j]
                 if ci.dim != cj.dim:
                     continue
-                if _tag_eq(ti, tj) is False:
+                if _tag_key(ti) != _tag_key(tj):
                     continue
                 w = ci.intersection(cj)
                 if w.dim != ci.dim - 1:
@@ -602,7 +582,7 @@ def _merge_cells(ambient_dim, cells):
                 if w.key() not in face_keys_i or w.key() not in face_keys_j:
                     continue
                 wall = next(((c, t) for c, t in cells if c.key() == w.key()), None)
-                if wall is None or _tag_eq(wall[1], ti) is False:
+                if wall is None or _tag_key(wall[1]) != _tag_key(ti):
                     continue
                 h = next((a for a in ci.facet_normals if all(dot(a, r) == 0 for r in w.rays)), None)
                 if h is None:
@@ -610,8 +590,8 @@ def _merge_cells(ambient_dim, cells):
                 union = Cone(ambient_dim, ci.rays + cj.rays)
                 if union.dim != ci.dim:
                     continue
-                plus = _cone_halfspace(union, h)
-                minus = _cone_halfspace(union, tuple(-x for x in h))
+                plus = union.cut([h])
+                minus = union.cut([vneg(h)])
                 if not (ci.contains_cone(plus) and cj.contains_cone(minus)):
                     continue
                 new_cells = [ct for k, ct in enumerate(cells) if k not in (i, j) and ct[0].key() != w.key()]
@@ -623,12 +603,6 @@ def _merge_cells(ambient_dim, cells):
             if merged_done:
                 break
     return cells
-
-
-def _tag_eq(a, b):
-    ka = a.key() if hasattr(a, "key") else a
-    kb = b.key() if hasattr(b, "key") else b
-    return ka == kb
 
 
 def groebner_stratification(module, support):

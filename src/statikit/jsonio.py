@@ -36,6 +36,14 @@ def _parse_int(s, where):
         raise InvalidInputError(f"expected an integer string at {where}, got {s!r}")
 
 
+def _build(where, factory, *args):
+    """Call a constructor, reporting a ValueError as invalid input at where."""
+    try:
+        return factory(*args)
+    except ValueError as exc:
+        raise InvalidInputError(f"{where}: {exc}")
+
+
 def _frac_str(x):
     f = Fraction(x)
     if f.denominator == 1:
@@ -67,7 +75,7 @@ def cone_from_json(obj, ambient_dim=None, where="cone"):
         if not rays:
             raise InvalidInputError(f"{where}: ambient_dim required for the zero cone")
         ambient_dim = len(rays[0])
-    return Cone(ambient_dim, rays)
+    return _build(where, Cone, ambient_dim, rays)
 
 
 def fan_to_json(fan):
@@ -84,7 +92,7 @@ def fan_from_json(obj, where="fan"):
     ambient = _parse_int(obj.get("ambient_dim"), where) if "ambient_dim" in obj else None
     support = cone_from_json(obj["support"], ambient, where + ".support")
     cones = [cone_from_json(c, support.ambient_dim, where + ".cones") for c in obj.get("cones", [])]
-    return Fan(support, cones)
+    return _build(where, Fan, support, cones)
 
 
 # -- polynomials, vectors, submodules ---------------------------------------------
@@ -102,7 +110,7 @@ def poly_from_json(obj, nvars, where="poly"):
         exp = tuple(_parse_int(x, f"{where}[{i}].exp") for x in t["exp"])
         c = _parse_frac(t["coeff"], f"{where}[{i}].coeff")
         terms[exp] = terms.get(exp, Fraction(0)) + c
-    return Poly(nvars, terms)
+    return _build(where, Poly, nvars, terms)
 
 
 def vector_to_json(v):
@@ -125,7 +133,7 @@ def vector_from_json(obj, torus_rank, rank, where="vector"):
         comp = _parse_int(t["comp"], f"{where}[{i}].comp") - 1
         c = _parse_frac(t["coeff"], f"{where}[{i}].coeff")
         terms[(exp, comp)] = terms.get((exp, comp), Fraction(0)) + c
-    return ModuleVector(torus_rank, rank, terms)
+    return _build(where, ModuleVector, torus_rank, rank, terms)
 
 
 def submodule_to_json(m):
@@ -142,7 +150,7 @@ def submodule_from_json(obj, where="submodule"):
     torus = _parse_int(obj["torus_rank"], where)
     rank = _parse_int(obj["rank"], where)
     gens = [vector_from_json(g, torus, rank, f"{where}.generators[{i}]") for i, g in enumerate(obj.get("generators", []))]
-    return Submodule(torus, rank, gens)
+    return _build(where, Submodule, torus, rank, gens)
 
 
 def marked_gb_to_json(gb):
@@ -218,7 +226,7 @@ def presentation_from_json(obj, where="presentation"):
     rows = []
     for i, row in enumerate(obj["matrix"]):
         rows.append([poly_from_json(p, chart.nvars, f"{where}.matrix[{i}][{j}]") for j, p in enumerate(row)])
-    return ModulePresentation(chart, rows)
+    return _build(where, ModulePresentation, chart, rows)
 
 
 def tor_report_to_json(rep):
@@ -250,10 +258,7 @@ def graph_from_json(obj, where="graph"):
         raise InvalidInputError(f"{where}: expected an object with 'vertices' and 'edges'")
     n = _parse_int(obj["vertices"], where)
     edges = [(_parse_int(u, where + ".edges"), _parse_int(v, where + ".edges")) for u, v in obj.get("edges", [])]
-    try:
-        return Graph(n, edges)
-    except ValueError as exc:
-        raise InvalidInputError(f"{where}: {exc}")
+    return _build(where, Graph, n, edges)
 
 
 def divisor_from_json(obj, n, where="divisor"):

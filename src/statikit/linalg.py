@@ -4,7 +4,6 @@ Everything here works over Python ints and fractions.Fraction; no floats.
 """
 
 from fractions import Fraction
-from itertools import combinations
 from math import gcd
 
 
@@ -25,10 +24,6 @@ def primitive(v):
 
 def dot(a, b):
     return sum(x * y for x, y in zip(a, b))
-
-
-def vadd(a, b):
-    return tuple(x + y for x, y in zip(a, b))
 
 
 def vsub(a, b):
@@ -87,64 +82,23 @@ def _echelon(rows):
 
 
 def rank(rows):
-    if not rows:
-        return 0
-    return len(_echelon(rows)[0])
-
-
-def solve_unique(cols, target):
-    """Solve sum(lam_i * cols_i) = target for linearly independent cols.
-
-    Returns the Fraction coefficient list, or None if the system is
-    inconsistent. Columns must be linearly independent.
-    """
-    n = len(target)
-    k = len(cols)
-    aug = [[Fraction(cols[j][i]) for j in range(k)] + [Fraction(target[i])] for i in range(n)]
-    ech, pivots = _echelon(aug)
-    lam = [Fraction(0)] * k
-    for row, c in zip(ech, pivots):
-        if c == k:
-            return None
-        lam[c] = row[k]
-    # verify (guards against underdetermined misuse)
-    for i in range(n):
-        if sum(lam[j] * cols[j][i] for j in range(k)) != target[i]:
-            return None
-    return lam
-
-
-def in_cone_combination(x, generators, lineality=()):
-    """Exact membership of x in cone(generators) + span(lineality).
-
-    Uses the conic Caratheodory bound: a member is a nonnegative combination
-    of at most dim many linearly independent generators (lineality vectors
-    enter with either sign).
-    """
-    if is_zero(x):
-        return True
-    cands = [(tuple(g), False) for g in generators]
-    for l in lineality:
-        cands.append((tuple(l), True))
-        cands.append((vneg(l), True))
-    n = len(x)
-    maxsize = min(len(cands), n)
-    for size in range(1, maxsize + 1):
-        for subset in combinations(range(len(cands)), size):
-            vecs = [cands[i][0] for i in subset]
-            if rank(vecs) < size:
-                continue
-            lam = solve_unique(vecs, x)
-            if lam is None:
-                continue
-            ok = True
-            for coef, i in zip(lam, subset):
-                if not cands[i][1] and coef < 0:
-                    ok = False
-                    break
-            if ok:
-                return True
-    return False
+    """Rank of an integer matrix by fraction-free elimination on primitive rows."""
+    m = [primitive(r) for r in rows]
+    r = 0
+    for c in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        p = m[r]
+        for i in range(r + 1, len(m)):
+            f = m[i][c]
+            if f:
+                m[i] = primitive(tuple(p[c] * x - f * y for x, y in zip(m[i], p)))
+        r += 1
+        if r == len(m):
+            break
+    return r
 
 
 def det(rows):

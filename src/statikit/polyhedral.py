@@ -17,7 +17,6 @@ from .errors import (
 from .linalg import (
     det,
     dot,
-    in_cone_combination,
     is_zero,
     lex_positive,
     primitive,
@@ -37,90 +36,58 @@ def _dedupe(vectors):
     return seen
 
 
-def _minimal_generators(rays, lineality=()):
-    """Drop generators that are conic combinations of the remaining ones."""
-    rays = _dedupe([primitive(r) for r in rays if not is_zero(r)])
-    changed = True
-    while changed:
-        changed = False
-        for i, r in enumerate(rays):
-            others = rays[:i] + rays[i + 1:]
-            if in_cone_combination(r, others, lineality):
-                rays.pop(i)
-                changed = True
-                break
-    return rays
-
-
 def double_description(ambient_dim, normals):
     """Generators of the cone {x : <a, x> >= 0 for a in normals}.
 
     Returns (lineality_basis, extreme_rays), both tuples of primitive
-    integer vectors. The extreme rays are minimal modulo the lineality
-    space; rays are kept minimal after every constraint so the
-    combinatorial adjacency filter stays sound.
+    integer vectors; the extreme rays are taken modulo the lineality space.
+    Every ray carries the exact set of constraints tight at it, and a (+, -)
+    pair is combined only if the constraints tight at both have rank
+    n - dim(lineality) - 2, the algebraic adjacency test (Fukuda and Prodon,
+    "Double description method revisited"). The rays therefore stay extreme
+    after every constraint and need no minimisation.
     """
+    normals = [tuple(a) for a in normals if not is_zero(a)]
     lin = [tuple(1 if j == i else 0 for j in range(ambient_dim)) for i in range(ambient_dim)]
-    rays = []  # list of (vector, zero-set frozenset over processed constraint indices)
-
-    def minimize_pairs(pairs, lineality):
-        seen = {}
-        for r, z in pairs:
-            seen[r] = seen[r] | z if r in seen else z
-        minimal = _minimal_generators(list(seen), lineality)
-        return [(r, seen[r]) for r in minimal]
+    rays = []  # list of (vector, frozenset of the indices of the constraints tight at it)
 
     for idx, a in enumerate(normals):
-        if is_zero(a):
-            continue
         lvals = [dot(a, l) for l in lin]
-        if any(v != 0 for v in lvals):
-            i0 = next(i for i, v in enumerate(lvals) if v != 0)
-            l0 = lin[i0]
-            v0 = lvals[i0]
+        i0 = next((i for i, v in enumerate(lvals) if v != 0), None)
+        if i0 is not None:
+            # the lineality space loses the direction l0, which becomes a
+            # ray; the other generators are projected onto a^perp along l0
+            l0, v0 = lin[i0], lvals[i0]
             if v0 < 0:
                 l0, v0 = vneg(l0), -v0
-            new_lin = []
-            for i, l in enumerate(lin):
-                if i == i0:
-                    continue
-                new_lin.append(primitive(vsub(vscale(v0, l), vscale(dot(a, l), l0))))
-            new_rays = []
-            for r, z in rays:
-                rv = dot(a, r)
-                new_rays.append((primitive(vsub(vscale(v0, r), vscale(rv, l0))), z | {idx}))
-            new_rays.append((primitive(l0), frozenset(range(idx))))
-            lin = [l for l in new_lin if not is_zero(l)]
-            rays = minimize_pairs(new_rays, lin)
+            lin = [primitive(vsub(vscale(v0, l), vscale(v, l0))) for i, (l, v) in enumerate(zip(lin, lvals)) if i != i0]
+            rays = [(primitive(vsub(vscale(v0, r), vscale(dot(a, r), l0))), z | {idx}) for r, z in rays]
+            rays.append((primitive(l0), frozenset(range(idx))))
         else:
-            pos, zero, neg = [], [], []
+            need = ambient_dim - len(lin) - 2
+            pos, neg, kept = [], [], []
             for r, z in rays:
                 rv = dot(a, r)
                 if rv > 0:
                     pos.append((r, z, rv))
+                    kept.append((r, z))
                 elif rv < 0:
                     neg.append((r, z, rv))
                 else:
-                    zero.append((r, z | {idx}))
-            kept = [(r, z) for r, z, _ in pos] + zero
-            for (rp, zp, vp) in pos:
-                for (rm, zm, vm) in neg:
+                    kept.append((r, z | {idx}))
+            for rp, zp, vp in pos:
+                for rm, zm, vm in neg:
                     common = zp & zm
-                    adjacent = True
-                    for r3 in rays:
-                        if r3[0] != rp and r3[0] != rm and common <= r3[1]:
-                            adjacent = False
-                            break
-                    if not adjacent:
-                        continue
-                    new = primitive(vsub(vscale(vp, rm), vscale(vm, rp)))
-                    if is_zero(new):
-                        continue
-                    kept.append((new, (zp & zm) | {idx}))
-            rays = minimize_pairs(kept, lin)
-    lin_rows = sorted(primitive(l) for l in lin if not is_zero(l))
-    out_rays = sorted(r for r, _ in rays)
-    return tuple(lin_rows), tuple(out_rays)
+                    if len(common) >= need and rank([normals[j] for j in common]) == need:
+                        kept.append((primitive(vsub(vscale(vp, rm), vscale(vm, rp))), common | {idx}))
+            rays = kept
+    return tuple(sorted(lin)), tuple(sorted(r for r, _ in rays))
+
+
+def _in_dual(dual, x):
+    """Whether x satisfies a (span equations, facet inequalities) description."""
+    eqs, facets = dual
+    return all(dot(s, x) == 0 for s in eqs) and all(dot(f, x) >= 0 for f in facets)
 
 
 class Cone:
@@ -143,8 +110,16 @@ class Cone:
                 raise ValueError("ray has wrong dimension")
             if not is_zero(r):
                 cleaned.append(primitive(r))
-        minimal = _minimal_generators(cleaned)
-        self.rays = tuple(sorted(minimal))
+        # greedy: drop the first ray that lies in the cone of the others,
+        # then go on; for a non-pointed cone the result depends on the order
+        kept = _dedupe(cleaned)
+        i = 0
+        while i < len(kept):
+            if _in_dual(double_description(self.ambient_dim, kept[:i] + kept[i + 1:]), kept[i]):
+                kept.pop(i)
+            else:
+                i += 1
+        self.rays = tuple(sorted(kept))
         self._dual = None
         self._faces = None
 
@@ -177,11 +152,13 @@ class Cone:
 
     # -- predicates ------------------------------------------------------------
 
+    @property
+    def inequalities(self):
+        """The facet normals and both signs of the span normals."""
+        return self.facet_normals + self.span_normals + tuple(vneg(s) for s in self.span_normals)
+
     def contains(self, x):
-        x = tuple(x)
-        return all(dot(s, x) == 0 for s in self.span_normals) and all(
-            dot(f, x) >= 0 for f in self.facet_normals
-        )
+        return _in_dual(self._dual_description(), tuple(x))
 
     def relint_contains(self, x):
         x = tuple(x)
@@ -232,17 +209,21 @@ class Cone:
             self._faces = tuple(out[k] for k in sorted(out))
         return self._faces
 
+    def cut(self, normals):
+        """The part of the cone where <a, x> >= 0 for every a in normals.
+
+        This is the one place a cone is cut by halfspaces; the result must
+        be pointed, as it is whenever the cone is.
+        """
+        lin, rays = double_description(self.ambient_dim, list(normals) + list(self.inequalities))
+        if lin:
+            raise NotPointedError("a cut of a cone must be pointed")
+        return Cone(self.ambient_dim, rays)
+
     def intersection(self, other):
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        normals = list(self.facet_normals) + list(other.facet_normals)
-        for s in list(self.span_normals) + list(other.span_normals):
-            normals.append(s)
-            normals.append(vneg(s))
-        lin, rays = double_description(self.ambient_dim, normals)
-        if lin:
-            raise NotPointedError("intersection of pointed cones must be pointed")
-        return Cone(self.ambient_dim, rays)
+        return self.cut(other.inequalities)
 
     # -- plumbing ----------------------------------------------------------------
 
@@ -395,50 +376,27 @@ class Fan:
         return True
 
 
-def fan_from_max_cones(support, max_cones):
-    return Fan(support, max_cones)
-
-
 def star_subdivision(fan, point):
     """Star subdivision of a fan at a primitive lattice point of its support.
 
-    If the point already spans a ray of the fan the fan is returned
-    unchanged.
+    Every maximal cone containing the point is replaced by the cones that
+    the point spans with the faces missing it. At a ray of the fan this
+    triangulates the non-simplicial cones through the ray; when every cone
+    through it is simplicial the fan is returned unchanged.
     """
     r = primitive(tuple(int(x) for x in point))
     if is_zero(r):
         raise ValueError("cannot subdivide at the origin")
     if not fan.support.contains(r):
         raise RayOutsideSupportError(f"{r} is outside the fan support")
-    if r in fan.ray_set:
+    if r in fan.ray_set and all(len(c.rays) == c.dim for c in fan.max_cones if c.contains(r)):
         return fan
     new_max = []
     for c in fan.max_cones:
-        if not c.contains(r):
+        if c.contains(r):
+            new_max.extend(Cone(fan.ambient_dim, f.rays + (r,)) for f in c.faces() if not f.contains(r))
+        else:
             new_max.append(c)
-            continue
-        for f in c.faces():
-            if not f.contains(r):
-                new_max.append(Cone(fan.ambient_dim, f.rays + (r,)))
-    return Fan(fan.support, new_max)
-
-
-def _stellar_at_ray(fan, r):
-    """Internal stellar subdivision at an existing ray.
-
-    Unlike the public star_subdivision this does subdivide non-simplicial
-    cones containing r; used by the smoothing loop to triangulate.
-    """
-    new_max = []
-    for c in fan.max_cones:
-        if not c.contains(r):
-            new_max.append(c)
-            continue
-        pieces = []
-        for f in c.faces():
-            if not f.contains(r):
-                pieces.append(Cone(fan.ambient_dim, f.rays + (r,)))
-        new_max.extend(pieces)
     return Fan(fan.support, new_max)
 
 
@@ -637,16 +595,7 @@ def _arrangement_fan(support, hyperplane_normals):
             if all(v >= 0 for v in vals) or all(v <= 0 for v in vals):
                 parts = [c]
             else:
-                parts = []
-                for sign in (1, -1):
-                    normals = [vscale(sign, h)] + list(c.facet_normals)
-                    for s in c.span_normals:
-                        normals.append(s)
-                        normals.append(vneg(s))
-                    lin, rays = double_description(c.ambient_dim, normals)
-                    half = Cone(c.ambient_dim, rays)
-                    if half.dim == c.dim:
-                        parts.append(half)
+                parts = [half for half in (c.cut([h]), c.cut([vneg(h)])) if half.dim == c.dim]
             new_pieces.extend(parts)
         pieces = new_pieces
     return Fan(support, pieces)
@@ -707,12 +656,10 @@ def stratification_to_smooth_fan(stratification):
             fan = star_subdivision(fan, pick)
             continue
         # non-simplicial cone generated by its own Hilbert basis: triangulate
-        done = False
         for r in bad.rays:
-            candidate = _stellar_at_ray(fan, r)
+            candidate = star_subdivision(fan, r)
             if candidate.key() != fan.key():
                 fan = candidate
-                done = True
                 break
-        if not done:
+        else:
             raise ValueError("unable to subdivide non-smooth cone")

@@ -58,10 +58,6 @@ class SmoothChart:
         self.variable_rays = tuple(sorted(cone.rays, reverse=True))
         self.var_names = default_var_names(self.nvars)
 
-    @property
-    def boundary_variables(self):
-        return tuple(range(self.nvars))
-
     def key(self):
         return self.cone.key()
 

@@ -3,9 +3,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from statikit.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
+ORTHANT = {"ambient_dim": "2", "rays": [["1", "0"], ["0", "1"]]}
+X = [{"coeff": "1", "exp": ["1", "0"]}]
 
 
 def run_cli(args, capsys):
@@ -97,6 +101,28 @@ class TestInputErrors:
         code, _, err = run_cli(["jacobian", '{"vertices": "3", "edges": [["0","1"]]}'], capsys)
         assert code == 2  # disconnected graph
 
+    @pytest.mark.parametrize(
+        "cmd, doc, where",
+        [
+            ("check-static", {"chart": ORTHANT, "matrix": [[X, X], [X]]}, "presentation: ragged"),
+            ("statify", {"chart": ORTHANT, "matrix": [[X, X], [X]]}, "presentation: ragged"),
+            ("check-static", {"chart": ORTHANT, "matrix": [[[{"coeff": "1", "exp": ["1", "0", "0"]}]]]}, "presentation.matrix[0][0]"),
+            ("check-static", {"chart": {"ambient_dim": "2", "rays": [["1", "0", "0"], ["0", "1"]]}, "matrix": [[X]]}, "presentation.chart"),
+            (
+                "verify-theorem",
+                {
+                    "presentation": {"chart": ORTHANT, "matrix": [[X]]},
+                    "fan": {"support": ORTHANT, "cones": [{"rays": [["1", "0"], ["-1", "1"]]}]},
+                },
+                "fan: fan cone outside",
+            ),
+        ],
+    )
+    def test_schema_valid_but_malformed_is_exit_two(self, capsys, cmd, doc, where):
+        code, out, err = run_cli([cmd, json.dumps(doc)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: INVALID_INPUT: {where}"), err
+
     def test_inline_json_accepted(self, capsys):
         code, out, _ = run_cli(["jacobian", '{"vertices": "2", "edges": [["0","1"],["0","1"]]}'], capsys)
         assert code == 0
@@ -105,11 +131,14 @@ class TestInputErrors:
 
 class TestSchemas:
     def test_schema_flag_prints_valid_schema(self, capsys):
+        import jsonschema
+
         for cmd in ["stratify", "statify", "check-static", "tor-dim", "verify-theorem", "jacobian", "chip-equiv", "firing-script"]:
             code, out, _ = run_cli([cmd, "--schema"], capsys)
             assert code == 0
             doc = json.loads(out)
             assert doc.get("type") in ("object", "array")
+            jsonschema.validators.validator_for(doc).check_schema(doc)
 
     def test_fixtures_validate_against_schemas(self, capsys):
         import jsonschema

@@ -273,14 +273,22 @@ class TestVolumes:
 class TestDualDescriptionConsistency:
     def test_randomized_cones_roundtrip(self):
         rng = random.Random(1234)
-        for trial in range(40):
+        for trial in range(60):
             dim = rng.choice([2, 3, 3, 4])
             nrays = rng.randint(1, dim + 2)
+            # the first trials stay in the orthant; the rest draw signed
+            # entries, so lineality and non-pointed cones occur
+            lo = 0 if trial < 20 else -3
             rays = []
             for _ in range(nrays):
-                r = tuple(rng.randint(0, 3) for _ in range(dim))
+                r = tuple(rng.randint(lo, 3) for _ in range(dim))
                 if any(r):
                     rays.append(r)
+            if rays and trial >= 20:
+                # duplicates and positive multiples of input rays
+                for _ in range(rng.randint(0, 2)):
+                    r = rng.choice(rays)
+                    rays.insert(rng.randint(0, len(rays)), tuple(rng.choice([1, 2, 3]) * x for x in r))
             if not rays:
                 continue
             c = Cone(dim, rays)
@@ -290,7 +298,15 @@ class TestDualDescriptionConsistency:
             # canonicalization is idempotent
             c2 = Cone(dim, c.rays)
             assert c2.rays == c.rays
-            # inequality description agrees with the brute-force oracle
-            for _ in range(12):
+            # the kept rays are irredundant and generate every input ray
+            for i, k in enumerate(c.rays):
+                assert not oracle_cone_contains(c.rays[:i] + c.rays[i + 1:], k), (trial, rays, k)
+            for r in rays:
+                assert oracle_cone_contains(c.rays, r), (trial, rays, r)
+            # inequality description agrees with the brute-force oracle; on
+            # signed inputs it runs on the kept rays, which generate the same
+            # cone (checked above) and keep the oracle fast
+            gens = rays if lo == 0 else c.rays
+            for _ in range(12 if lo == 0 else 4):
                 x = tuple(rng.randint(-3, 4) for _ in range(dim))
-                assert c.contains(x) == oracle_cone_contains(rays, x), (trial, rays, x)
+                assert c.contains(x) == oracle_cone_contains(gens, x), (trial, rays, x)
