@@ -212,8 +212,7 @@ class Cone:
     def cut(self, normals):
         """The part of the cone where <a, x> >= 0 for every a in normals.
 
-        This is the one place a cone is cut by halfspaces; the result must
-        be pointed, as it is whenever the cone is.
+        The result must be pointed, as it is whenever the cone is.
         """
         lin, rays = double_description(self.ambient_dim, list(normals) + list(self.inequalities))
         if lin:
