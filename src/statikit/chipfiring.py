@@ -104,6 +104,7 @@ def _reduce_with_script(graph, divisor, base):
     stage two runs Dhar's burning algorithm until the divisor survives.
     """
     n = graph.n
+    L = laplacian(graph)
     d = list(divisor)
     script = [0] * n
 
@@ -119,30 +120,21 @@ def _reduce_with_script(graph, divisor, base):
                 queue.append(v)
     maxdist = max(dist)
 
-    def fire_set(vertices, times):
-        if times <= 0:
-            return
-        for v in vertices:
-            script[v] += times
-        for v in range(n):
-            inside = v in vertices
-            for u in range(n):
-                m = graph.multiplicity(v, u)
-                if not m:
-                    continue
-                if inside and u not in vertices:
-                    d[v] -= m * times
-                elif not inside and u in vertices:
-                    d[v] += m * times
+    def fire(vertices, times):
+        """d -= times * L * 1_vertices."""
+        for u in vertices:
+            script[u] += times
+            for v in range(n):
+                d[v] -= times * L[v][u]
 
     for level in range(maxdist, 0, -1):
         below = {v for v in range(n) if dist[v] < level}
         need = 0
         for v in range(n):
             if dist[v] == level and d[v] < 0:
-                inbound = sum(graph.multiplicity(v, u) for u in below)
+                inbound = -sum(L[v][u] for u in below)
                 need = max(need, (-d[v] + inbound - 1) // inbound)
-        fire_set(below, need)
+        fire(below, need)
 
     # Dhar burning from the base
     while True:
@@ -153,14 +145,14 @@ def _reduce_with_script(graph, divisor, base):
             for v in range(n):
                 if v in burnt:
                     continue
-                incoming = sum(graph.multiplicity(v, u) for u in burnt)
+                incoming = -sum(L[v][u] for u in burnt)
                 if incoming > d[v]:
                     burnt.add(v)
                     frontier = True
         if len(burnt) == n:
             break
         unburnt = set(range(n)) - burnt
-        fire_set(unburnt, 1)
+        fire(unburnt, 1)
 
     return d, script
 

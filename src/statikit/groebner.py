@@ -115,16 +115,12 @@ def _spair(f, lf, g, lg):
 
 
 def buchberger(vectors, key):
-    """Groebner basis of the module generated by the given vectors.
+    """Reduced Groebner basis, as marked pairs, of the module the vectors generate.
 
     Plain Buchberger with full normal forms. For weight keys the input must
     be homogeneous, otherwise reduction may not terminate.
     """
-    basis = []
-    for v in vectors:
-        if v:
-            v = dict(v)
-            basis.append((v, leading_term(v, key)))
+    basis = [(dict(v), leading_term(v, key)) for v in vectors if v]
     pairs = [(i, j) for i in range(len(basis)) for j in range(i)]
     while pairs:
         i, j = pairs.pop(0)
@@ -136,64 +132,53 @@ def buchberger(vectors, key):
         if r:
             basis.append((r, leading_term(r, key)))
             pairs.extend((len(basis) - 1, t) for t in range(len(basis) - 1))
-    return reduce_basis([g for g, _ in basis], key)
+    return reduce_basis(basis, key)
 
 
-def reduce_basis(vectors, key):
-    """The unique reduced basis: minimal, tail reduced, monic, sorted."""
-    vecs = [dict(v) for v in vectors if v]
-    lts = [leading_term(v, key) for v in vecs]
-    keep = []
-    for i, lt in enumerate(lts):
-        exp, comp = lt
-        shadowed = False
-        for j, other in enumerate(lts):
-            if i == j:
-                continue
-            oexp, ocomp = other
-            if ocomp == comp and _divides(oexp, exp):
-                if other != lt or j < i:
-                    shadowed = True
-                    break
-        if not shadowed:
-            keep.append(i)
-    vecs = [vecs[i] for i in keep]
-    out = []
-    for i, v in enumerate(vecs):
-        rest = [(u, leading_term(u, key)) for j, u in enumerate(vecs) if j != i]
-        r = normal_form(v, rest, key)
-        if r:
-            lt = leading_term(r, key)
-            lc = r[lt]
-            out.append(({t: c / lc for t, c in r.items()}, lt))
-    out.sort(key=lambda pair: key(pair[1]), reverse=True)
-    return [g for g, _ in out]
+def reduce_basis(basis, key):
+    """The unique reduced basis of a marked basis: minimal, tail reduced, monic, sorted.
 
-
-def syzygy_generators(vectors, ambient_rank, nvars):
-    """Generators of the syzygy module of the given vectors in R^ambient_rank.
-
-    Works by an elimination order on R^(ambient_rank + len(vectors)) with a
-    tracking unit vector appended to each input; basis elements supported
-    entirely on the tracking block are the syzygies.
+    A minimal basis keeps its leading terms under tail reduction, so the
+    marks carry over.
     """
-    k = len(vectors)
-    if k == 0:
+
+    def shadowed(i, lt):
+        return any(
+            j != i and other[1] == lt[1] and _divides(other[0], lt[0]) and (other != lt or j < i)
+            for j, (_, other) in enumerate(basis)
+        )
+
+    minimal = [pair for i, pair in enumerate(basis) if not shadowed(i, pair[1])]
+    out = []
+    for i, (g, lt) in enumerate(minimal):
+        r = normal_form(g, minimal[:i] + minimal[i + 1:], key)
+        lc = r[lt]
+        out.append(({t: c / lc for t, c in r.items()}, lt))
+    out.sort(key=lambda pair: key(pair[1]), reverse=True)
+    return out
+
+
+def syzygy_generators(vectors, ambient_rank, nvars, modulo=()):
+    """Generators of the syzygies of `vectors` in R^ambient_rank modulo `modulo`.
+
+    These are the coefficient vectors a with sum_j a_j vectors[j] in the
+    span of `modulo`. Each input gets a tracking unit vector appended, the
+    `modulo` vectors none; under an elimination order on
+    R^(ambient_rank + len(vectors)) the basis elements led by a tracking term
+    are supported on the tracking block, and their tracking parts are the
+    syzygies.
+    """
+    if not vectors:
         return []
     zero = tuple(0 for _ in range(nvars))
-    aug = []
-    for j, v in enumerate(vectors):
-        new = dict(v)
-        new[(zero, ambient_rank + j)] = Fraction(1)
-        aug.append(new)
-    gb = buchberger(aug, elim_key(ambient_rank))
-    out = []
-    for g in gb:
-        lt = leading_term(g, elim_key(ambient_rank))
-        if lt[1] < ambient_rank:
-            continue
-        out.append({(exp, comp - ambient_rank): c for (exp, comp), c in g.items()})
-    return out
+    aug = [dict(v) | {(zero, ambient_rank + j): Fraction(1)} for j, v in enumerate(vectors)]
+    gb = buchberger(aug + list(modulo), elim_key(ambient_rank))
+    return [{(exp, comp - ambient_rank): c for (exp, comp), c in g.items()} for g, lt in gb if lt[1] >= ambient_rank]
+
+
+def matrix_columns(rows):
+    """Columns of a matrix of Poly entries as dict vectors, one component per row."""
+    return [{(e, i): c for i, row in enumerate(rows) for e, c in row[j].terms} for j in range(len(rows[0]))]
 
 
 # ---------------------------------------------------------------------------
@@ -320,10 +305,7 @@ def initial_form(f, w):
     w = tuple(Fraction(x) for x in w)
     if len(w) != f.torus_rank:
         raise ValueError("weight length mismatch")
-    vals = {t: dot(w, t[0][0:f.torus_rank]) for t, _ in f.terms}
-    d0 = min(vals[t] for t, _ in f.terms)
-    kept = {t: c for t, c in f.terms if vals[t] == d0}
-    return ModuleVector(f.torus_rank, f.rank, kept)
+    return ModuleVector(f.torus_rank, f.rank, _initial_part(f.as_dict(), w))
 
 
 def _normalize_generator(vec):
@@ -361,12 +343,14 @@ class Submodule:
         self._gb = None
 
     def _basis(self):
+        """The reduced Groebner basis under base_key, as marked pairs."""
         if self._gb is None:
             self._gb = buchberger([g.as_dict() for g in self.generators], base_key)
         return self._gb
 
     def reduced_groebner_basis(self):
-        return MarkedGB.from_vectors(self.torus_rank, self.rank, self._basis())
+        elements = [(ModuleVector(self.torus_rank, self.rank, g), lt) for g, lt in self._basis()]
+        return MarkedGB(self.torus_rank, self.rank, elements)
 
     def contains(self, f):
         """Membership of a polynomial vector via vanishing normal form."""
@@ -374,8 +358,7 @@ class Submodule:
             f = ModuleVector(self.torus_rank, self.rank, f)
         if f.is_zero():
             return True
-        basis = [(g, leading_term(g, base_key)) for g in self._basis()]
-        return not normal_form(f.as_dict(), basis, base_key)
+        return not normal_form(f.as_dict(), self._basis(), base_key)
 
     def colon(self, g):
         """The submodule (self : g) = {v : g*v in self} for a scalar poly g."""
@@ -383,18 +366,10 @@ class Submodule:
             g = Poly(self.torus_rank, g)
         if g.is_zero():
             raise ValueError("colon by the zero polynomial")
-        gdict = g.as_dict()
-        cols = []
-        for i in range(self.rank):
-            cols.append({(e, i): c for e, c in gdict.items()})
-        cols.extend(gen.as_dict() for gen in self.generators)
-        syz = syzygy_generators(cols, self.rank, self.torus_rank)
-        out = []
-        for s in syz:
-            v = {(e, c): co for (e, c), co in s.items() if c < self.rank}
-            if v:
-                out.append(v)
-        return Submodule(self.torus_rank, self.rank, [ModuleVector(self.torus_rank, self.rank, v) for v in out])
+        cols = [{(e, i): c for e, c in g.terms} for i in range(self.rank)]
+        gens = [gen.as_dict() for gen in self.generators]
+        syz = syzygy_generators(cols, self.rank, self.torus_rank, modulo=gens)
+        return Submodule(self.torus_rank, self.rank, [ModuleVector(self.torus_rank, self.rank, v) for v in syz])
 
     def saturate_monomials(self):
         """Saturation with respect to the product of all torus variables."""
@@ -428,12 +403,9 @@ class MarkedGB:
         self.elements = tuple(elements)
 
     @classmethod
-    def from_vectors(cls, torus_rank, rank, dict_vectors):
-        elements = []
-        for v in dict_vectors:
-            mv = ModuleVector(torus_rank, rank, v)
-            elements.append((mv, leading_term(v, base_key)))
-        return cls(torus_rank, rank, elements)
+    def from_vectors(cls, torus_rank, rank, vectors):
+        """Mark each ModuleVector at its leading term under base_key."""
+        return cls(torus_rank, rank, [(mv, leading_term(mv.as_dict(), base_key)) for mv in vectors])
 
     @property
     def vectors(self):
@@ -484,16 +456,15 @@ def _homogenize(vec_dict, n):
     return {(t[0] + (top - degs[t],), t[1]): c for t, c in vec_dict.items()}
 
 
-def _dehomogenize(vec_dict):
-    return {(t[0][:-1], t[1]): c for t, c in vec_dict.items()}
+def _initial_part(vec_dict, w):
+    """Terms minimizing <w, exp>, cut to the first len(w) exponents.
 
-
-def _weight_initial_part(vec_dict, w):
-    """Terms maximizing the negated pairing, i.e. minimizing <w, exp>."""
+    On homogenized vectors the cut drops the balancing variable.
+    """
     n = len(w)
-    vals = {t: -dot(w, t[0][:n]) for t in vec_dict}
-    top = max(vals.values())
-    return {t: c for t, c in vec_dict.items() if vals[t] == top}
+    vals = {t: dot(w, t[0][:n]) for t in vec_dict}
+    low = min(vals.values())
+    return {(t[0][:n], t[1]): c for t, c in vec_dict.items() if vals[t] == low}
 
 
 def _laurent_canonical(torus_rank, rank, dict_vectors):
@@ -513,10 +484,8 @@ def initial_module(module, w):
         raise ValueError("weight length mismatch")
     if not module.generators:
         return MarkedGB(module.torus_rank, module.rank, [])
-    base = module._basis()
-    hom = [_homogenize(g, module.torus_rank) for g in base]
-    gb = buchberger(hom, weight_key(w))
-    ins = [_dehomogenize(_weight_initial_part(g, w)) for g in gb]
+    hom = [_homogenize(g, module.torus_rank) for g, _ in module._basis()]
+    ins = [_initial_part(g, w) for g, _ in buchberger(hom, weight_key(w))]
     return _laurent_canonical(module.torus_rank, module.rank, ins)
 
 
@@ -620,8 +589,7 @@ def groebner_stratification(module, support):
         cells = [(c, tag) for c in support.faces()]
         return GroebnerStratification(module, support, PLStratification(support, cells, _validated=True))
 
-    base = module._basis()
-    hom = [_homogenize(g, n) for g in base]
+    hom = [_homogenize(g, n) for g, _ in module._basis()]
 
     normals = set()
     for g in hom:
@@ -646,8 +614,7 @@ def groebner_stratification(module, support):
             v = cone.interior_point()
             gb = sample_gb(v)
             violated = False
-            for g in gb:
-                lt = leading_term(g, weight_key(v))
+            for g, lt in gb:
                 a = lt[0][:n]
                 for t in g:
                     b = t[0][:n]
@@ -668,7 +635,7 @@ def groebner_stratification(module, support):
     cells = []
     tag_cache = {}
     for cone, v, gb in celldata:
-        ins = tuple(sorted(_canonical_terms(_dehomogenize(_weight_initial_part(g, v))) for g in gb))
+        ins = tuple(sorted(_canonical_terms(_initial_part(g, v)) for g, _ in gb))
         if ins not in tag_cache:
             tag_cache[ins] = _laurent_canonical(n, module.rank, [dict(t) for t in ins])
         cells.append((cone, tag_cache[ins]))
@@ -700,13 +667,6 @@ def syzygies(rows, torus_rank):
                 raise ValueError("matrix entries must be polynomial")
     if k == 0:
         return Submodule(torus_rank, 0, [])
-    cols = []
-    for j in range(k):
-        col = {}
-        for i in range(l):
-            for e, c in rows[i][j].terms:
-                col[(e, i)] = col.get((e, i), Fraction(0)) + c
-        cols.append({t: c for t, c in col.items() if c})
-    syz = syzygy_generators(cols, l, torus_rank)
+    syz = syzygy_generators(matrix_columns(rows), l, torus_rank)
     gens = [ModuleVector(torus_rank, k, s) for s in syz]
     return Submodule(torus_rank, k, gens)

@@ -17,8 +17,6 @@ from .groebner import (
     ModuleVector,
     Poly,
     Submodule,
-    base_key,
-    leading_term,
 )
 from .polyhedral import Cone, Fan, PLStratification
 from .staticity import ModulePresentation, SmoothChart, TorReport
@@ -164,11 +162,8 @@ def marked_gb_to_json(gb):
 def marked_gb_from_json(obj, where="initial_module"):
     torus = _parse_int(obj["torus_rank"], where)
     rank = _parse_int(obj["rank"], where)
-    elements = []
-    for i, g in enumerate(obj.get("generators", [])):
-        mv = vector_from_json(g, torus, rank, f"{where}[{i}]")
-        elements.append((mv, leading_term(mv.as_dict(), base_key)))
-    return MarkedGB(torus, rank, elements)
+    vectors = [vector_from_json(g, torus, rank, f"{where}[{i}]") for i, g in enumerate(obj.get("generators", []))]
+    return MarkedGB.from_vectors(torus, rank, vectors)
 
 
 def stratification_to_json(strat):
@@ -202,8 +197,7 @@ def stratification_from_json(obj, where="stratification"):
             vector_from_json(v, torus, rank, f"{where}.cells[{i}].initial_module[{j}]")
             for j, v in enumerate(cell["initial_module"])
         ]
-        elements = [(mv, leading_term(mv.as_dict(), base_key)) for mv in vectors]
-        cells.append((cone, MarkedGB(torus, rank, elements)))
+        cells.append((cone, MarkedGB.from_vectors(torus, rank, vectors)))
     strat = PLStratification(support, cells, _validated=True)
     return GroebnerStratification(module, support, strat)
 

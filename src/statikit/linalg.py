@@ -102,7 +102,7 @@ def rank(rows):
 
 
 def det(rows):
-    """Exact determinant of a square integer/rational matrix (Bareiss)."""
+    """Exact determinant of a square integer/rational matrix (Fraction Gaussian elimination)."""
     n = len(rows)
     if n == 0:
         return 1

@@ -17,9 +17,9 @@ from .groebner import (
     Poly,
     Submodule,
     base_key,
-    leading_term,
-    normal_form,
     buchberger,
+    matrix_columns,
+    normal_form,
     syzygy_generators,
     syzygies,
 )
@@ -106,14 +106,7 @@ class ModulePresentation:
 
     def columns(self):
         """Column vectors of the matrix as rank-nrows dict vectors."""
-        cols = []
-        for j in range(self.ncols):
-            col = {}
-            for i in range(self.nrows):
-                for e, c in self.rows[i][j].terms:
-                    col[(e, i)] = col.get((e, i), Fraction(0)) + c
-            cols.append({t: c for t, c in col.items() if c})
-        return cols
+        return matrix_columns(self.rows)
 
     def kernel(self):
         """Syzygies of the presentation matrix (a Submodule of rank ncols)."""
@@ -208,6 +201,9 @@ def koszul_tor(presentation, seq, degree):
             for wi in range(len(wedges_i))
             for inner in range(l)
         ]
+        # The relations are tracked too, not passed as `modulo`: that gives
+        # the same cycle module but other generators, and the witness below
+        # is the first generator that is not a boundary.
         relations_prev = _broadcast(acols, l, len(wedges_prev))
         syz = syzygy_generators(d_cols + relations_prev, rank_prev, n)
         cycles = []
@@ -223,10 +219,9 @@ def koszul_tor(presentation, seq, degree):
     ]
     boundaries = boundary_cols + _broadcast(acols, l, len(wedges_i))
     bbasis = buchberger(boundaries, base_key)
-    bpairs = [(g, leading_term(g, base_key)) for g in bbasis]
 
     for z in cycles:
-        if normal_form(dict(z), bpairs, base_key):
+        if normal_form(z, bbasis, base_key):
             witness = {
                 "wedge_basis": [tuple(seq[i] for i in w) for w in wedges_i],
                 "vector": ModuleVector(n, rank_i, z),

@@ -59,6 +59,15 @@ class TestExitCodes:
         code, out, _ = run_cli(["chip-equiv", fixture("chip_equiv_false.json")], capsys)
         assert code == 1 and json.loads(out)["equivalent"] is False
 
+    def test_chip_equiv_unequal_degree(self, capsys):
+        """Divisors of different degree are inequivalent, and both still
+        come back reduced."""
+        triangle = {"vertices": "3", "edges": [["0", "1"], ["0", "2"], ["1", "2"]]}
+        pair = {"graph": triangle, "d1": ["0", "2", "0"], "d2": ["0", "0", "-1"]}
+        code, out, _ = run_cli(["chip-equiv", json.dumps(pair)], capsys)
+        assert code == 1
+        assert json.loads(out) == {"equivalent": False, "reduced_d1": ["1", "0", "1"], "reduced_d2": ["-2", "1", "0"]}
+
     def test_firing_script(self, capsys):
         code, out, _ = run_cli(["firing-script", fixture("firing_script_c3.json")], capsys)
         assert code == 0

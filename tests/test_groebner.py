@@ -227,6 +227,38 @@ class TestColonMembership:
         got = colon_module(k, Poly(2, {(0, 1): 1}))
         assert canonical(got) == canonical(k)
 
+    def test_colon_matches_syzygies_of_the_stacked_matrix(self):
+        """(M : g) is the kernel of [g*I | generators of M] projected onto
+        its first rank coordinates, on random small submodules."""
+        rng = random.Random(5)
+        zero = Poly(2, {})
+
+        def terms(count):
+            return {(rng.randint(0, 2), rng.randint(0, 2)): rng.choice((1, -1, 2)) for _ in range(count)}
+
+        grew = 0
+        for _ in range(30):
+            rank = rng.randint(1, 2)
+            gens = [
+                ModuleVector(2, rank, {(e, rng.randrange(rank)): c for e, c in terms(rng.randint(1, 2)).items()})
+                for _ in range(rng.randint(1, 3))
+            ]
+            module = Submodule(2, rank, gens)
+            g = Poly(2, terms(rng.randint(1, 2)))
+            rows = [
+                [g if j == i else zero for j in range(rank)]
+                + [Poly(2, {e: c for (e, comp), c in v.terms if comp == i}) for v in module.generators]
+                for i in range(rank)
+            ]
+            projected = [
+                ModuleVector(2, rank, {(e, comp): c for (e, comp), c in s.terms if comp < rank})
+                for s in syzygies(rows, 2).generators
+            ]
+            expected = Submodule(2, rank, projected)
+            assert canonical(colon_module(module, g)) == canonical(expected)
+            grew += canonical(expected) != canonical(module)
+        assert grew >= 5
+
 
 class TestStratification:
     def test_example_binomial_kernel(self, quadrant):
