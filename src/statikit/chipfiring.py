@@ -101,7 +101,8 @@ def _reduce_with_script(graph, divisor, base):
     """Base-reduced representative together with the firing script used.
 
     Stage one pushes all debt onto the base by firing distance sublevels,
-    stage two runs Dhar's burning algorithm until the divisor survives.
+    stage two runs Dhar's burning algorithm until the divisor survives,
+    firing each unburnt set as many times as stays legal.
     """
     n = graph.n
     L = laplacian(graph)
@@ -151,8 +152,11 @@ def _reduce_with_script(graph, divisor, base):
                     frontier = True
         if len(burnt) == n:
             break
-        unburnt = set(range(n)) - burnt
-        fire(unburnt, 1)
+        # every unburnt v has out[v] <= d[v] edges into the burnt set, so the
+        # unburnt set can fire as often as its poorest boundary vertex allows
+        unburnt = [v for v in range(n) if v not in burnt]
+        out = {v: -sum(L[v][u] for u in burnt) for v in unburnt}
+        fire(unburnt, min(d[v] // out[v] for v in unburnt if out[v] > 0))
 
     return d, script
 

@@ -19,7 +19,7 @@ from .chipfiring import (
 )
 from .errors import StatikitError
 from .groebner import groebner_stratification
-from .staticity import log_tor_dim_at_most
+from .staticity import is_log_flat, log_tor_dim_at_most
 from .statify import compute_statification, input_digest, verify_theorem_instance
 
 INT_STR = {"type": "string", "pattern": "^-?[0-9]+$"}
@@ -141,7 +141,7 @@ def _run_statify(data, args):
 def _run_check_static(data, args):
     presentation = jsonio.presentation_from_json(data)
     static, reports = log_tor_dim_at_most(presentation, 1)
-    log_flat, _ = log_tor_dim_at_most(presentation, 0)
+    log_flat = is_log_flat(presentation)
     payload = {
         "static": static,
         "log_flat": log_flat,
@@ -221,24 +221,20 @@ RUNNERS = {
 }
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="statikit",
-        description="Exact Groebner stratifications, staticity certificates, and chip firing.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in RUNNERS:
-        p = sub.add_parser(name)
-        p.add_argument("input", nargs="?", help="input path, '-' for stdin, or inline JSON")
-        p.add_argument("--output", help="write the JSON result to this path")
-        p.add_argument("--schema", action="store_true", help="print the input schema and exit")
-        p.add_argument("--audit", action="store_true", help="statify: run the second-resolution audit")
-        p.add_argument("--fail-fast", action="store_true", help="statify: stop at the first non-static chart")
-    return parser
+PARSER = argparse.ArgumentParser(
+    prog="statikit",
+    description="Exact Groebner stratifications, staticity certificates, and chip firing.",
+)
+PARSER.add_argument("command", choices=RUNNERS)
+PARSER.add_argument("input", nargs="?", help="input path, '-' for stdin, or inline JSON")
+PARSER.add_argument("--output", help="write the JSON result to this path")
+PARSER.add_argument("--schema", action="store_true", help="print the input schema and exit")
+PARSER.add_argument("--audit", action="store_true", help="statify: run the second-resolution audit")
+PARSER.add_argument("--fail-fast", action="store_true", help="statify: stop at the first non-static chart")
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = PARSER.parse_args(argv)
     if args.schema:
         sys.stdout.write(jsonio.dumps(SCHEMAS[args.command]))
         return 0

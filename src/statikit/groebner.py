@@ -414,9 +414,6 @@ class MarkedGB:
     def as_submodule(self):
         return Submodule(self.torus_rank, self.rank, self.vectors)
 
-    def is_zero_module(self):
-        return not self.elements
-
     def key(self):
         return (self.torus_rank, self.rank, tuple((mv.key(), lt) for mv, lt in self.elements))
 

@@ -20,7 +20,7 @@ from .groebner import (
 )
 from .polyhedral import Cone, Fan, PLStratification
 from .staticity import ModulePresentation, SmoothChart, TorReport
-from .statify import ChartReport, StatificationCertificate, ToricModification
+from .statify import ChartReport, StatificationCertificate
 
 
 def _int_str(x):
@@ -151,21 +151,6 @@ def submodule_from_json(obj, where="submodule"):
     return _build(where, Submodule, torus, rank, gens)
 
 
-def marked_gb_to_json(gb):
-    return {
-        "torus_rank": _int_str(gb.torus_rank),
-        "rank": _int_str(gb.rank),
-        "generators": [vector_to_json(v) for v in gb.vectors],
-    }
-
-
-def marked_gb_from_json(obj, where="initial_module"):
-    torus = _parse_int(obj["torus_rank"], where)
-    rank = _parse_int(obj["rank"], where)
-    vectors = [vector_from_json(g, torus, rank, f"{where}[{i}]") for i, g in enumerate(obj.get("generators", []))]
-    return MarkedGB.from_vectors(torus, rank, vectors)
-
-
 def stratification_to_json(strat):
     """GroebnerStratification to canonical cell JSON."""
     cells = []
@@ -240,13 +225,6 @@ def tor_report_to_json(rep):
 # -- graphs -----------------------------------------------------------------------
 
 
-def graph_to_json(g):
-    return {
-        "vertices": _int_str(g.n),
-        "edges": [[_int_str(u), _int_str(v)] for u, v in g.edges],
-    }
-
-
 def graph_from_json(obj, where="graph"):
     if not isinstance(obj, dict) or "vertices" not in obj:
         raise InvalidInputError(f"{where}: expected an object with 'vertices' and 'edges'")
@@ -268,10 +246,10 @@ CERT_FORMAT = "statikit-cert/1"
 
 def certificate_to_json(cert, input_sha256):
     charts = []
-    for rep, (cone, _chart, subst) in zip(cert.charts, _cert_chart_data(cert)):
+    for rep in cert.charts:
         charts.append({
-            "cone": cone_to_json(cone),
-            "substitution": [[_int_str(x) for x in row] for row in subst],
+            "cone": cone_to_json(rep.cone),
+            "substitution": [[_int_str(x) for x in row] for row in rep.substitution],
             "presentation": presentation_to_json(rep.presentation),
             "static": rep.static,
             "reports": [tor_report_to_json(r) for r in rep.reports],
@@ -295,12 +273,6 @@ def certificate_to_json(cert, input_sha256):
     }
 
 
-def _cert_chart_data(cert):
-    modification = ToricModification(cert.presentation.chart, cert.fan)
-    by_key = {cone.key(): (cone, chart, subst) for cone, chart, subst in modification.charts}
-    return [by_key[rep.cone.key()] for rep in cert.charts]
-
-
 def certificate_from_json(obj, where="certificate"):
     if obj.get("format") != CERT_FORMAT:
         raise InvalidInputError(f"{where}: unknown certificate format {obj.get('format')!r}")
@@ -311,12 +283,13 @@ def certificate_from_json(obj, where="certificate"):
     charts = []
     for i, ch in enumerate(obj["charts"]):
         cone = cone_from_json(ch["cone"], fan.ambient_dim, f"{where}.charts[{i}].cone")
+        subst = [tuple(_parse_int(x, f"{where}.charts[{i}].substitution") for x in row) for row in ch["substitution"]]
         pres = presentation_from_json(ch["presentation"], f"{where}.charts[{i}].presentation")
         reports = []
         for rep in ch["reports"]:
             face = tuple(_parse_int(v, where) for v in rep["face"])
             reports.append(TorReport(face=face, degree=_parse_int(rep["degree"], where), vanishes=rep["vanishes"]))
-        charts.append(ChartReport(cone=cone, presentation=pres, static=ch["static"], reports=tuple(reports)))
+        charts.append(ChartReport(cone=cone, substitution=subst, presentation=pres, static=ch["static"], reports=tuple(reports)))
     return StatificationCertificate(presentation, kernel, strat, fan, charts)
 
 

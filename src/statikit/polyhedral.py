@@ -292,21 +292,18 @@ class Fan:
 
     __slots__ = ("ambient_dim", "support", "cones", "_max")
 
-    def __init__(self, support, cones, _closed=False):
+    def __init__(self, support, cones):
         self.support = support
         self.ambient_dim = support.ambient_dim
-        if _closed:
-            self.cones = tuple(cones)
-        else:
-            closed = {}
-            for c in cones:
-                if c.ambient_dim != self.ambient_dim:
-                    raise ValueError("cone dimension mismatch")
-                for f in c.faces():
-                    closed[f.rays] = f
-            if not closed:
-                closed[()] = Cone(self.ambient_dim, [])
-            self.cones = tuple(closed[k] for k in sorted(closed))
+        closed = {}
+        for c in cones:
+            if c.ambient_dim != self.ambient_dim:
+                raise ValueError("cone dimension mismatch")
+            for f in c.faces():
+                closed[f.rays] = f
+        if not closed:
+            closed[()] = Cone(self.ambient_dim, [])
+        self.cones = tuple(closed[k] for k in sorted(closed))
         for c in self.cones:
             if not self.support.contains_cone(c):
                 raise ValueError("fan cone outside the declared support")
@@ -603,38 +600,22 @@ def _arrangement_fan(support, hyperplane_normals):
 def stratification_to_smooth_fan(stratification):
     """A smooth fan on the support refining the stratification.
 
-    First tries the intersection closure of the cell closures; if those do
-    not already form a refining fan, falls back to the full hyperplane
+    The relative interiors of the cells must partition the support, as
+    they do for every Groebner stratification. Then the cell closures form
+    a fan refining the stratification exactly when closing them under
+    faces adds no cone; otherwise the start is the full hyperplane
     arrangement spanned by the cells' facets. Non-smooth cones are then
     resolved by star subdivisions at Hilbert basis elements of smallest
     coordinate sum (ties lexicographic); non-simplicial cones whose Hilbert
     basis adds no ray are triangulated stellarly.
     """
     support = stratification.support
-    fan = None
-    closures = {c.key(): c for c, _ in stratification.cells}
-    frontier = list(closures.values())
-    while frontier:
-        nxt = []
-        for a, b in combinations(list(closures.values()), 2):
-            w = a.intersection(b)
-            if w.key() not in closures:
-                closures[w.key()] = w
-                nxt.append(w)
-        frontier = nxt
-    try:
-        candidate = Fan(support, list(closures.values()))
-        candidate.validate()
-        if refines(candidate, stratification):
-            fan = candidate
-    except (ValueError, NotPointedError):
-        fan = None
-    if fan is None:
+    closures = [c for c, _ in stratification.cells]
+    fan = Fan(support, closures)
+    if len(fan.cones) != len(closures):
         normals = set()
-        for c, _ in stratification.cells:
-            for h in c.facet_normals:
-                normals.add(lex_positive(h))
-            for h in c.span_normals:
+        for c in closures:
+            for h in c.facet_normals + c.span_normals:
                 normals.add(lex_positive(h))
         fan = _arrangement_fan(support, sorted(normals))
         if not refines(fan, stratification):
@@ -654,7 +635,9 @@ def stratification_to_smooth_fan(stratification):
             pick = min(new_points, key=lambda p: (sum(p), p))
             fan = star_subdivision(fan, pick)
             continue
-        # non-simplicial cone generated by its own Hilbert basis: triangulate
+        # non-simplicial cone generated by its own Hilbert basis: triangulate.
+        # Subdividing at the apex of a pyramid over a non-simplicial base
+        # gives the pyramid back (from dimension 4), so try every ray.
         for r in bad.rays:
             candidate = star_subdivision(fan, r)
             if candidate.key() != fan.key():

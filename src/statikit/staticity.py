@@ -230,37 +230,32 @@ def koszul_tor(presentation, seq, degree):
     return TorReport(face=face, degree=degree, vanishes=True)
 
 
+def _face_reports(presentation, d):
+    """Tor in degree d+1 against each face, lazily, in canonical face order."""
+    if d < 0:
+        raise ValueError("log Tor dimension bound must be nonnegative")
+    n = presentation.chart.nvars
+    for size in range(n + 1):
+        for face in combinations(range(n), size):
+            yield koszul_tor(presentation, tuple(v for v in range(n) if v not in face), d + 1)
+
+
 def log_tor_dim_at_most(presentation, d):
     """Chart criterion: Tor in degree d+1 must vanish against every face.
 
     Returns (holds, reports) where reports has one entry per face subset,
     in canonical face order.
     """
-    if d < 0:
-        raise ValueError("log Tor dimension bound must be nonnegative")
-    n = presentation.chart.nvars
-    variables = list(range(n))
-    faces = []
-    for size in range(n + 1):
-        faces.extend(combinations(variables, size))
-    faces.sort(key=lambda f: (len(f), f))
-    reports = []
-    holds = True
-    for face in faces:
-        seq = tuple(v for v in variables if v not in face)
-        rep = koszul_tor(presentation, seq, d + 1)
-        reports.append(rep)
-        if not rep.vanishes:
-            holds = False
-    return holds, reports
+    reports = list(_face_reports(presentation, d))
+    return all(rep.vanishes for rep in reports), reports
 
 
 def is_static(presentation):
-    return log_tor_dim_at_most(presentation, 1)[0]
+    return all(rep.vanishes for rep in _face_reports(presentation, 1))
 
 
 def is_log_flat(presentation):
-    return log_tor_dim_at_most(presentation, 0)[0]
+    return all(rep.vanishes for rep in _face_reports(presentation, 0))
 
 
 def is_regular_sequence_on(kernel, seq):

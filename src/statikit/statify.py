@@ -56,9 +56,6 @@ class ToricModification:
     def identity(cls, chart):
         return cls(chart, Fan(chart.cone, [chart.cone]))
 
-    def is_identity(self):
-        return len(self.charts) == 1 and self.charts[0][0].key() == self.target_chart.cone.key()
-
     def chart_for(self, cone):
         for c, chart, e in self.charts:
             if c.key() == cone.key():
@@ -78,6 +75,7 @@ def pullback_presentation(presentation, modification, cone):
 @dataclass(frozen=True)
 class ChartReport:
     cone: object
+    substitution: list  # rows of the exponent matrix, as substitution_matrix returns
     presentation: object
     static: bool
     reports: tuple
@@ -155,10 +153,10 @@ def compute_statification(presentation, audit=False, fail_fast=False):
     fan = stratification_to_smooth_fan(strat.stratification)
     modification = ToricModification(chart, fan)
     charts = []
-    for cone, _chart, _e in modification.charts:
+    for cone, _chart, e in modification.charts:
         pulled = pullback_presentation(presentation, modification, cone)
         holds, reports = log_tor_dim_at_most(pulled, 1)
-        charts.append(ChartReport(cone=cone, presentation=pulled, static=holds, reports=tuple(reports)))
+        charts.append(ChartReport(cone=cone, substitution=e, presentation=pulled, static=holds, reports=tuple(reports)))
         if fail_fast and not holds:
             break
     audit_data = None

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+import sympy
 
 from statikit import (
     Graph,
@@ -143,6 +144,29 @@ class TestReducedDivisor:
                 if len(burnt) == 3:
                     reduced_forms.add(tuple(cand))
         assert reduced_forms == {tuple(r)}
+
+    def test_reduced_on_random_graphs_by_burn_oracle(self):
+        """Dhar's criterion, written independently: a divisor nonnegative off
+        the base is reduced iff burning from the base burns every vertex.
+        The class is checked by solving the reduced Laplacian system over Q."""
+        rng = random.Random(31)
+        for _ in range(30):
+            g = random_connected_graph(rng, max_v=8, max_extra=6)
+            d = [rng.randint(-6, 12) for _ in range(g.n)]
+            r = reduced_divisor(g, d)
+            assert all(x >= 0 for x in r[1:])
+            burnt = {0}
+            while True:
+                new = [v for v in range(g.n) if v not in burnt and sum(g.multiplicity(v, u) for u in burnt) > r[v]]
+                if not new:
+                    break
+                burnt.update(new)
+            assert len(burnt) == g.n
+            assert sum(r) == sum(d)
+            if g.n > 1:
+                l = sympy.Matrix([row[1:] for row in laplacian(g)[1:]])
+                script = l.LUsolve(sympy.Matrix([a - b for a, b in zip(d[1:], r[1:])]))
+                assert all(x.is_integer for x in script)
 
 
 class TestEquivalence:

@@ -222,6 +222,16 @@ class TestRoundTrips:
         cert = jsonio.certificate_from_json(json.loads(out))
         assert all(cert.replay().values())
 
+    def test_certificate_reemits_identically(self, capsys):
+        from statikit import jsonio
+
+        code, out, _ = run_cli(["statify", fixture("example1.json")], capsys)
+        obj = json.loads(out)
+        cert = jsonio.certificate_from_json(obj)
+        # the blowup charts: x -> z0, y -> z0 z1 and x -> z0 z1, y -> z0
+        assert [rep.substitution for rep in cert.charts] == [[(1, 1), (0, 1)], [(1, 1), (1, 0)]]
+        assert jsonio.dumps(jsonio.certificate_to_json(cert, obj["input_sha256"])) == out
+
     def test_presentation_roundtrip(self):
         from statikit import jsonio
 

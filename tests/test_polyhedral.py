@@ -5,13 +5,17 @@ import pytest
 from statikit import (
     Cone,
     Fan,
+    ModulePresentation,
     NotPointedError,
     PLStratification,
+    Poly,
     RayOutsideSupportError,
     SupportMismatchError,
     common_refinement,
     fan_refines,
+    groebner_stratification,
     hilbert_basis,
+    orthant_chart,
     refines,
     star_subdivision,
     stratification_to_smooth_fan,
@@ -233,6 +237,73 @@ class TestStratificationToSmoothFan:
         assert fan.validate()
         # deterministic
         assert stratification_to_smooth_fan(s) == fan
+
+    @staticmethod
+    def _wall_on_undivided_floor(octant):
+        """A wall x = y ending on the floor z = 0, which it does not divide."""
+        e1, e2, e3, w = (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)
+        cells = [
+            (Cone(3, [e1, w, e3]), "A"),
+            (Cone(3, [w, e2, e3]), "B"),
+            (Cone(3, [w, e3]), "W"),
+            (Cone(3, [e1, e2]), "F"),
+            (Cone(3, [e1, e3]), "A"),
+            (Cone(3, [e2, e3]), "B"),
+            (Cone(3, [e1]), "F"),
+            (Cone(3, [e2]), "F"),
+            (Cone(3, [e3]), "W"),
+            (Cone(3, []), "O"),
+        ]
+        return PLStratification(octant, cells)
+
+    @staticmethod
+    def _square_pyramid():
+        """One cell: the cone over the unit square, its own Hilbert basis."""
+        c = Cone(3, [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)])
+        return PLStratification(c, [(c, "all")])
+
+    def test_arrangement_fallback_when_face_closing_adds_cones(self, octant):
+        s = self._wall_on_undivided_floor(octant)
+        closures = [c for c, _ in s.cells]
+        assert len(Fan(octant, closures).cones) > len(closures)
+        fan = stratification_to_smooth_fan(s)
+        assert [c.rays for c in fan.max_cones] == [
+            ((0, 0, 1), (0, 1, 0), (1, 1, 0)),
+            ((0, 0, 1), (1, 0, 0), (1, 1, 0)),
+        ]
+        assert refines(fan, s)
+
+    def test_triangulates_cone_generated_by_its_hilbert_basis(self):
+        s = self._square_pyramid()
+        assert hilbert_basis(s.support) == s.support.rays
+        fan = stratification_to_smooth_fan(s)
+        assert [c.rays for c in fan.max_cones] == [
+            ((0, 0, 1), (0, 1, 1), (1, 1, 1)),
+            ((0, 0, 1), (1, 0, 1), (1, 1, 1)),
+        ]
+        assert refines(fan, s)
+
+    def test_face_closed_iff_closures_form_refining_fan(self, octant):
+        """Face-closing the cell closures adds no cone exactly when those
+        closures form a valid fan that refines the stratification."""
+        rng = random.Random(17)
+        strats = [self._wall_on_undivided_floor(octant), self._square_pyramid()]
+        for _ in range(6):
+            # the syzygies of a row of two binomials
+            nvars = rng.choice([2, 3])
+            row = [Poly(nvars, {tuple(rng.randint(0, 2) for _ in range(nvars)): rng.choice([1, -1]) for _ in range(2)})
+                   for _ in range(2)]
+            m = ModulePresentation(orthant_chart(nvars), [row])
+            strats.append(groebner_stratification(m.kernel(), m.chart.cone).stratification)
+        for s in strats:
+            closures = [c for c, _ in s.cells]
+            fan = Fan(s.support, closures)
+            try:
+                fan.validate()
+                valid_and_refining = refines(fan, s)
+            except ValueError:
+                valid_and_refining = False
+            assert (len(fan.cones) == len(closures)) == valid_and_refining
 
 
 class TestHilbertBasis:
