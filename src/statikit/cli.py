@@ -234,7 +234,7 @@ PARSER.add_argument("--fail-fast", action="store_true", help="statify: stop at t
 
 
 def main(argv=None):
-    args = PARSER.parse_args(argv)
+    args = PARSER.parse_intermixed_args(argv)
     if args.schema:
         sys.stdout.write(jsonio.dumps(SCHEMAS[args.command]))
         return 0

@@ -119,16 +119,24 @@ class StatificationCertificate:
         return all(c.static for c in self.charts)
 
     def replay(self):
-        """Re-run every embedded check; returns a dict of verdict bits."""
+        """Re-run every embedded check; returns a dict of verdict bits.
+
+        A chart matches when its substitution and presentation are the ones the
+        fan gives and its staticity verdict replays.
+        """
         out = {}
         out["kernel_matches"] = self.presentation.kernel() == self.kernel
         strat2 = groebner_stratification(self.kernel, self.stratification.support)
         out["stratification_matches"] = strat2.stratification.key() == self.stratification.stratification.key()
         out["fan_refines"] = refines(self.fan, self.stratification.stratification)
+        modification = ToricModification(self.presentation.chart, self.fan)
+        substitutions = {cone.key(): e for cone, _chart, e in modification.charts}
         chart_bits = []
         for rep in self.charts:
-            holds, _ = log_tor_dim_at_most(rep.presentation, 1)
-            chart_bits.append(holds == rep.static)
+            built = substitutions.get(rep.cone.key()) == rep.substitution and (
+                pullback_presentation(self.presentation, modification, rep.cone) == rep.presentation
+            )
+            chart_bits.append(built and log_tor_dim_at_most(rep.presentation, 1)[0] == rep.static)
         out["charts_match"] = all(chart_bits)
         return out
 

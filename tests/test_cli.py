@@ -183,6 +183,20 @@ class TestFlags:
         assert code == 0
         assert json.loads(out)["all_static"] is True
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["statify", "--audit", "INPUT"],
+            ["--audit", "statify", "INPUT"],
+            ["statify", "--fail-fast", "--audit", "INPUT"],
+        ],
+    )
+    def test_options_anywhere_around_the_input(self, argv, capsys):
+        argv = [fixture("example1.json") if a == "INPUT" else a for a in argv]
+        code, out, _ = run_cli(argv, capsys)
+        expected_code, expected, _ = run_cli(["statify", fixture("example1.json"), "--audit"], capsys)
+        assert (code, out) == (expected_code, expected) == (0, expected)
+
     def test_rational_coefficients_roundtrip(self, capsys):
         job = {
             "chart": {"ambient_dim": "2", "rays": [["0", "1"], ["1", "0"]]},
@@ -231,6 +245,19 @@ class TestRoundTrips:
         # the blowup charts: x -> z0, y -> z0 z1 and x -> z0 z1, y -> z0
         assert [rep.substitution for rep in cert.charts] == [[(1, 1), (0, 1)], [(1, 1), (1, 0)]]
         assert jsonio.dumps(jsonio.certificate_to_json(cert, obj["input_sha256"])) == out
+
+    def test_replay_rejects_tampered_charts(self, capsys):
+        from statikit import jsonio
+
+        code, out, _ = run_cli(["statify", fixture("example1.json")], capsys)
+        obj = json.loads(out)
+        wrong_substitution = json.loads(out)
+        wrong_substitution["charts"][0]["substitution"] = [["5", "0"], ["0", "7"]]
+        wrong_presentation = json.loads(out)
+        wrong_presentation["charts"][0]["presentation"] = obj["charts"][1]["presentation"]
+        assert jsonio.certificate_from_json(obj).replay()["charts_match"] is True
+        for doc in (wrong_substitution, wrong_presentation):
+            assert jsonio.certificate_from_json(doc).replay()["charts_match"] is False
 
     def test_presentation_roundtrip(self):
         from statikit import jsonio
