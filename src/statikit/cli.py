@@ -7,9 +7,8 @@ canonical JSON; identical inputs produce byte-identical outputs.
 
 import argparse
 import json
+import re
 import sys
-
-import jsonschema
 
 from . import jsonio
 from .chipfiring import (
@@ -17,7 +16,7 @@ from .chipfiring import (
     jacobian_group,
     reduced_divisor,
 )
-from .errors import StatikitError
+from .errors import InvalidInputError, StatikitError
 from .groebner import groebner_stratification
 from .staticity import is_log_flat, log_tor_dim_at_most
 from .statify import compute_statification, input_digest, verify_theorem_instance
@@ -110,9 +109,40 @@ SCHEMAS = {
 }
 
 
-# one prebuilt validator per schema: jsonschema.validate would re-check the
-# schema itself on every call
-VALIDATORS = {name: jsonschema.validators.validator_for(schema)(schema) for name, schema in SCHEMAS.items()}
+_TYPES = {"object": dict, "array": list, "string": str}
+
+
+def schema_violation(schema, value, path="$"):
+    """The first violation of schema by value in document order, as a
+    (path, message) pair, or None.
+
+    Covers the keywords SCHEMAS uses, with jsonschema's messages.
+    """
+    kind = schema["type"]
+    if not isinstance(value, _TYPES[kind]):
+        return path, f"{value!r} is not of type {kind!r}"
+    if kind == "string":
+        pattern = schema.get("pattern")
+        if pattern is not None and not re.search(pattern, value):
+            return path, f"{value!r} does not match {pattern!r}"
+        return None
+    if kind == "array":
+        if len(value) < schema.get("minItems", 0):
+            return path, f"{value!r} " + ("should be non-empty" if schema["minItems"] == 1 else "is too short")
+        if len(value) > schema.get("maxItems", len(value)):
+            return path, f"{value!r} is too long"
+        children = ((i, schema.get("items"), item) for i, item in enumerate(value))
+    else:
+        for key in schema.get("required", ()):
+            if key not in value:
+                return path, f"{key!r} is a required property"
+        properties = schema.get("properties", {})
+        children = ((key, properties.get(key), item) for key, item in value.items())
+    for key, sub, item in children:
+        found = sub and schema_violation(sub, item, f"{path}[{key!r}]")
+        if found:
+            return found
+    return None
 
 
 def _read_input(source):
@@ -153,6 +183,8 @@ def _run_check_static(data, args):
 def _run_tor_dim(data, args):
     presentation = jsonio.presentation_from_json(data["presentation"])
     d = int(data["d"])
+    if d < 0:
+        raise InvalidInputError(f"d: log Tor dimension bound must be nonnegative, got {d}")
     holds, reports = log_tor_dim_at_most(presentation, d)
     payload = {
         "d": str(d),
@@ -251,10 +283,10 @@ def main(argv=None):
     except json.JSONDecodeError as exc:
         sys.stderr.write(f"error: malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}\n")
         return 2
-    exc = jsonschema.exceptions.best_match(VALIDATORS[args.command].iter_errors(data))
-    if exc is not None:
-        path = "$" + "".join(f"[{p!r}]" for p in exc.absolute_path)
-        sys.stderr.write(f"error: schema violation at {path}: {exc.message}\n")
+    violation = schema_violation(SCHEMAS[args.command], data)
+    if violation is not None:
+        path, message = violation
+        sys.stderr.write(f"error: schema violation at {path}: {message}\n")
         return 2
     try:
         code, payload = RUNNERS[args.command](data, args)

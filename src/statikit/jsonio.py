@@ -90,7 +90,9 @@ def fan_from_json(obj, where="fan"):
     ambient = _parse_int(obj.get("ambient_dim"), where) if "ambient_dim" in obj else None
     support = cone_from_json(obj["support"], ambient, where + ".support")
     cones = [cone_from_json(c, support.ambient_dim, where + ".cones") for c in obj.get("cones", [])]
-    return _build(where, Fan, support, cones)
+    fan = _build(where, Fan, support, cones)
+    _build(where, fan.validate)
+    return fan
 
 
 # -- polynomials, vectors, submodules ---------------------------------------------
@@ -290,7 +292,13 @@ def certificate_from_json(obj, where="certificate"):
             face = tuple(_parse_int(v, where) for v in rep["face"])
             reports.append(TorReport(face=face, degree=_parse_int(rep["degree"], where), vanishes=rep["vanishes"]))
         charts.append(ChartReport(cone=cone, substitution=subst, presentation=pres, static=ch["static"], reports=tuple(reports)))
-    return StatificationCertificate(presentation, kernel, strat, fan, charts)
+    audit = obj.get("audit")
+    if audit is not None:
+        audit = {
+            "second_kernel": submodule_from_json(audit["second_kernel"], where + ".audit.second_kernel"),
+            "fan_refines_second": audit["fan_refines_second"],
+        }
+    return StatificationCertificate(presentation, kernel, strat, fan, charts, audit)
 
 
 def dumps(obj):

@@ -480,9 +480,6 @@ class PLStratification:
                 out[index[k]][1].append(c)
         return out
 
-    def tags(self):
-        return [t for t, _ in self.strata()]
-
     def key(self):
         return (self.support.key(), tuple((c.key(), _tag_key(t)) for c, t in self.cells))
 

@@ -26,15 +26,6 @@ from .groebner import (
 from .polyhedral import Cone
 
 
-_VAR_LETTERS = ("x", "y", "z", "w")
-
-
-def default_var_names(n):
-    if n <= len(_VAR_LETTERS):
-        return tuple(_VAR_LETTERS[:n])
-    return tuple(f"x{i + 1}" for i in range(n))
-
-
 class SmoothChart:
     """Affine chart of a full-dimensional smooth pointed cone.
 
@@ -43,7 +34,7 @@ class SmoothChart:
     identity assignment. All chart variables are boundary variables.
     """
 
-    __slots__ = ("cone", "nvars", "variable_rays", "var_names")
+    __slots__ = ("cone", "nvars", "variable_rays")
 
     def __init__(self, cone):
         if not isinstance(cone, Cone):
@@ -56,7 +47,6 @@ class SmoothChart:
         self.cone = cone
         self.nvars = cone.ambient_dim
         self.variable_rays = tuple(sorted(cone.rays, reverse=True))
-        self.var_names = default_var_names(self.nvars)
 
     def key(self):
         return self.cone.key()

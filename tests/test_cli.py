@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,18 @@ from statikit.cli import main
 FIXTURES = Path(__file__).parent / "fixtures"
 ORTHANT = {"ambient_dim": "2", "rays": [["1", "0"], ["0", "1"]]}
 X = [{"coeff": "1", "exp": ["1", "0"]}]
+# one fixture per subcommand (statify has two), with the schema it must satisfy
+SCHEMA_FIXTURES = [
+    ("statify", "example1.json"),
+    ("statify", "example2.json"),
+    ("check-static", "skyscraper.json"),
+    ("tor-dim", "tordim_divisor_d0.json"),
+    ("verify-theorem", "verify_example1_blowup.json"),
+    ("jacobian", "cycle5.json"),
+    ("chip-equiv", "chip_equiv_true.json"),
+    ("firing-script", "firing_script_c3.json"),
+    ("stratify", "stratify_binomial.json"),
+]
 
 
 def run_cli(args, capsys):
@@ -125,6 +138,15 @@ class TestInputErrors:
                 },
                 "fan: fan cone outside",
             ),
+            ("tor-dim", {"presentation": {"chart": ORTHANT, "matrix": [[X]]}, "d": "-1"}, "d: "),
+            (
+                "verify-theorem",
+                {
+                    "presentation": {"chart": ORTHANT, "matrix": [[X]]},
+                    "fan": {"support": ORTHANT, "cones": [{"rays": [["1", "0"], ["1", "1"]]}]},
+                },
+                "fan: fan does not cover its support",
+            ),
         ],
     )
     def test_schema_valid_but_malformed_is_exit_two(self, capsys, cmd, doc, where):
@@ -154,20 +176,69 @@ class TestSchemas:
 
         from statikit.cli import SCHEMAS
 
-        pairs = [
-            ("statify", "example1.json"),
-            ("statify", "example2.json"),
-            ("check-static", "skyscraper.json"),
-            ("tor-dim", "tordim_divisor_d0.json"),
-            ("verify-theorem", "verify_example1_blowup.json"),
-            ("jacobian", "cycle5.json"),
-            ("chip-equiv", "chip_equiv_true.json"),
-            ("firing-script", "firing_script_c3.json"),
-            ("stratify", "stratify_binomial.json"),
-        ]
-        for cmd, name in pairs:
+        for cmd, name in SCHEMA_FIXTURES:
             data = json.loads((FIXTURES / name).read_text())
             jsonschema.validate(data, SCHEMAS[cmd])
+
+    def test_walker_agrees_with_jsonschema_on_mutants(self):
+        """The CLI's schema walker accepts a mutated fixture exactly when
+        jsonschema does, and on a single violation reports best_match's path
+        and message."""
+        import jsonschema
+
+        from statikit.cli import SCHEMAS, schema_violation
+
+        def nodes(doc, path=()):
+            yield path, doc
+            children = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+            for key, child in children:
+                yield from nodes(child, path + (key,))
+
+        def mutate(doc, rng):
+            """Apply one random mutation in place; the root is never replaced."""
+            found = list(nodes(doc))
+            kind = rng.choice(["drop", "swap", "pattern", "edge", "matrix"])
+            if kind == "drop":
+                targets = [node for _, node in found if isinstance(node, dict) and node]
+                if targets:
+                    node = rng.choice(targets)
+                    del node[rng.choice(sorted(node))]
+                return
+            if kind in ("swap", "pattern"):
+                targets = [path for path, node in found if isinstance(node, str)]
+                values = [7, ["1"], []] if kind == "swap" else ["", "x", "1/2", "1.5", "--1", " 1", "1\n"]
+            elif kind == "edge":
+                targets = [path for path, _ in found if len(path) >= 2 and path[-2] == "edges"]
+                values = [[], ["0", "1", "0"]]
+            else:
+                targets = [path for path, _ in found if path and path[-1] == "matrix"]
+                values = [[]]
+            if targets:
+                path = rng.choice(targets)
+                parent = doc
+                for key in path[:-1]:
+                    parent = parent[key]
+                parent[path[-1]] = rng.choice(values)
+
+        rng = random.Random(20261018)
+        singles = 0
+        for cmd, name in SCHEMA_FIXTURES:
+            schema = SCHEMAS[cmd]
+            validator = jsonschema.validators.validator_for(schema)(schema)
+            text = (FIXTURES / name).read_text()
+            for _ in range(60):
+                doc = json.loads(text)
+                for _ in range(rng.choice([1, 1, 2, 3])):
+                    mutate(doc, rng)
+                errors = list(validator.iter_errors(doc))
+                violation = schema_violation(schema, doc)
+                assert (violation is None) == (not errors), (cmd, doc)
+                if len(errors) == 1:
+                    best = jsonschema.exceptions.best_match(errors)
+                    path = "$" + "".join(f"[{p!r}]" for p in best.absolute_path)
+                    assert violation == (path, best.message)
+                    singles += 1
+        assert singles >= 150
 
 
 class TestFlags:
@@ -244,6 +315,11 @@ class TestRoundTrips:
         cert = jsonio.certificate_from_json(obj)
         # the blowup charts: x -> z0, y -> z0 z1 and x -> z0 z1, y -> z0
         assert [rep.substitution for rep in cert.charts] == [[(1, 1), (0, 1)], [(1, 1), (1, 0)]]
+        assert jsonio.dumps(jsonio.certificate_to_json(cert, obj["input_sha256"])) == out
+        code, out, _ = run_cli(["statify", fixture("example1.json"), "--audit"], capsys)
+        obj = json.loads(out)
+        assert obj["audit"] is not None
+        cert = jsonio.certificate_from_json(obj)
         assert jsonio.dumps(jsonio.certificate_to_json(cert, obj["input_sha256"])) == out
 
     def test_replay_rejects_tampered_charts(self, capsys):
