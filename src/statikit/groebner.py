@@ -13,6 +13,7 @@ variable.
 """
 
 from fractions import Fraction
+from heapq import heappop, heappush
 from itertools import combinations
 
 from .errors import UnsupportedSupportError, ZeroVectorError
@@ -85,9 +86,10 @@ def _divides(e1, e2):
 def normal_form(vec, basis, key):
     """Full normal form of vec against (vector, leading-term) pairs."""
     work = dict(vec)
+    keys = {t: key(t) for t in work}  # each term's order key, computed once
     remainder = {}
     while work:
-        t = max(work, key=key)
+        t = max(work, key=keys.__getitem__)
         exp, comp = t
         hit = None
         for g, lt in basis:
@@ -102,12 +104,14 @@ def normal_form(vec, basis, key):
         coeff = work[t] / g[(lexp, lcomp)]
         shift = tuple(a - b for a, b in zip(exp, lexp))
         vec_axpy(work, -coeff, shift, g)
+        for u in work:
+            if u not in keys:
+                keys[u] = key(u)
     return remainder
 
 
-def _spair(f, lf, g, lg):
-    (ef, cf), (eg, cg) = lf, lg
-    lcm = tuple(max(a, b) for a, b in zip(ef, eg))
+def _spair(f, lf, g, lg, lcm):
+    (ef, _), (eg, _) = lf, lg
     out = {}
     vec_axpy(out, Fraction(1) / f[lf], tuple(a - b for a, b in zip(lcm, ef)), f)
     vec_axpy(out, Fraction(-1) / g[lg], tuple(a - b for a, b in zip(lcm, eg)), g)
@@ -117,21 +121,63 @@ def _spair(f, lf, g, lg):
 def buchberger(vectors, key):
     """Reduced Groebner basis, as marked pairs, of the module the vectors generate.
 
-    Plain Buchberger with full normal forms. For weight keys the input must
-    be homogeneous, otherwise reduction may not terminate.
+    Buchberger's algorithm with full normal forms, forming no S-pair that is
+    provably useless:
+
+    - pairs are kept per leading-term component, since elements led in
+      different components have no S-pair;
+    - Buchberger's chain criterion skips (i, j) when some k has
+      lt_k | lcm(i, j) and the pairs (i, k) and (j, k) are treated; a
+      skipped pair counts as treated. It holds for module vectors, unlike
+      the product criterion, which is not used;
+    - normal selection by sugar: the pair of least sugar comes first, and
+      among those the one with the smallest lcm under the term order
+      (Giovini et al., "One sugar cube, please", 1991). The sugar of an
+      input is its degree and that of a pair the degree its S-vector would
+      have if the inputs were homogenized. Selecting by the lcm alone takes
+      high-degree pairs first under weight keys and can blow up.
+
+    The reduced basis is unique, so none of this changes the result. For
+    weight keys the input must be homogeneous, otherwise reduction may not
+    terminate.
     """
-    basis = [(dict(v), leading_term(v, key)) for v in vectors if v]
-    pairs = [(i, j) for i in range(len(basis)) for j in range(i)]
-    while pairs:
-        i, j = pairs.pop(0)
-        (f, lf), (g, lg) = basis[i], basis[j]
-        if lf[1] != lg[1]:
+    basis = []
+    sugars = []
+    peers = {}  # component -> indices of the basis elements led there
+    queue = []  # heap of (sugar, key of the lcm term, j, i, lcm exponent) with j < i
+    pending = set()  # the (j, i) in the queue
+
+    def add(g, sugar):
+        lt = leading_term(g, key)
+        i = len(basis)
+        basis.append((g, lt))
+        sugars.append(sugar)
+        exp, comp = lt
+        for j in peers.setdefault(comp, []):
+            lcm = tuple(map(max, basis[j][1][0], exp))
+            pair_sugar = sum(lcm) + max(sugars[j] - sum(basis[j][1][0]), sugar - sum(exp))
+            heappush(queue, (pair_sugar, key((lcm, comp)), j, i, lcm))
+            pending.add((j, i))
+        peers[comp].append(i)
+
+    def treated(a, b):
+        return (min(a, b), max(a, b)) not in pending
+
+    for v in vectors:
+        if v:
+            add(dict(v), max(sum(exp) for exp, _ in v))
+    while queue:
+        sugar, _, j, i, lcm = heappop(queue)
+        pending.discard((j, i))
+        comp = basis[i][1][1]
+        if any(
+            k != i and k != j and _divides(basis[k][1][0], lcm) and treated(i, k) and treated(j, k)
+            for k in peers[comp]
+        ):
             continue
-        s = _spair(f, lf, g, lg)
-        r = normal_form(s, basis, key)
+        r = normal_form(_spair(*basis[j], *basis[i], lcm), basis, key)
         if r:
-            basis.append((r, leading_term(r, key)))
-            pairs.extend((len(basis) - 1, t) for t in range(len(basis) - 1))
+            add(r, sugar)
     return reduce_basis(basis, key)
 
 

@@ -224,6 +224,18 @@ def tor_report_to_json(rep):
     return out
 
 
+def tor_report_from_json(obj, presentation, where="report"):
+    """A TorReport on the chart of `presentation`, witness included."""
+    witness = obj.get("witness")
+    if witness is not None:
+        wedges = [tuple(_parse_int(v, where + ".witness.wedge_basis") for v in w) for w in witness["wedge_basis"]]
+        rank = presentation.nrows * len(wedges)
+        vector = vector_from_json(witness["vector"], presentation.chart.nvars, rank, where + ".witness.vector")
+        witness = {"wedge_basis": wedges, "vector": vector}
+    face = tuple(_parse_int(v, where + ".face") for v in obj["face"])
+    return TorReport(face=face, degree=_parse_int(obj["degree"], where + ".degree"), vanishes=obj["vanishes"], witness=witness)
+
+
 # -- graphs -----------------------------------------------------------------------
 
 
@@ -287,10 +299,7 @@ def certificate_from_json(obj, where="certificate"):
         cone = cone_from_json(ch["cone"], fan.ambient_dim, f"{where}.charts[{i}].cone")
         subst = [tuple(_parse_int(x, f"{where}.charts[{i}].substitution") for x in row) for row in ch["substitution"]]
         pres = presentation_from_json(ch["presentation"], f"{where}.charts[{i}].presentation")
-        reports = []
-        for rep in ch["reports"]:
-            face = tuple(_parse_int(v, where) for v in rep["face"])
-            reports.append(TorReport(face=face, degree=_parse_int(rep["degree"], where), vanishes=rep["vanishes"]))
+        reports = [tor_report_from_json(rep, pres, f"{where}.charts[{i}].reports[{j}]") for j, rep in enumerate(ch["reports"])]
         charts.append(ChartReport(cone=cone, substitution=subst, presentation=pres, static=ch["static"], reports=tuple(reports)))
     audit = obj.get("audit")
     if audit is not None:

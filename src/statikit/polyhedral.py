@@ -123,6 +123,16 @@ class Cone:
         self._dual = None
         self._faces = None
 
+    @classmethod
+    def _of_extreme_rays(cls, ambient_dim, rays):
+        """The cone of sorted primitive rays known to be its extreme rays."""
+        cone = cls.__new__(cls)
+        cone.ambient_dim = ambient_dim
+        cone.rays = rays
+        cone._dual = None
+        cone._faces = None
+        return cone
+
     # -- derived descriptions -------------------------------------------------
 
     def _dual_description(self):
@@ -194,7 +204,8 @@ class Cone:
         """All faces, including {0} and the cone itself, in canonical order.
 
         Every face of a pointed cone is the intersection of the facets
-        containing it, so faces are enumerated over facet subsets.
+        containing it, so faces are enumerated over facet subsets. The rays
+        of the cone on a face are the extreme rays of that face.
         """
         if not self.is_pointed():
             raise NotPointedError("face enumeration requires a pointed cone")
@@ -203,9 +214,9 @@ class Cone:
             normals = self.facet_normals
             for size in range(len(normals) + 1):
                 for subset in combinations(normals, size):
-                    face_rays = [r for r in self.rays if all(dot(a, r) == 0 for a in subset)]
-                    f = Cone(self.ambient_dim, face_rays)
-                    out[f.rays] = f
+                    face_rays = tuple(r for r in self.rays if all(dot(a, r) == 0 for a in subset))
+                    if face_rays not in out:
+                        out[face_rays] = Cone._of_extreme_rays(self.ambient_dim, face_rays)
             self._faces = tuple(out[k] for k in sorted(out))
         return self._faces
 

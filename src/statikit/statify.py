@@ -122,7 +122,8 @@ class StatificationCertificate:
         """Re-run every embedded check; returns a dict of verdict bits.
 
         A chart matches when its substitution and presentation are the ones the
-        fan gives and its staticity verdict replays.
+        fan gives and its staticity verdict and Tor reports, witnesses
+        included, replay.
         """
         out = {}
         out["kernel_matches"] = self.presentation.kernel() == self.kernel
@@ -136,7 +137,7 @@ class StatificationCertificate:
             built = substitutions.get(rep.cone.key()) == rep.substitution and (
                 pullback_presentation(self.presentation, modification, rep.cone) == rep.presentation
             )
-            chart_bits.append(built and log_tor_dim_at_most(rep.presentation, 1)[0] == rep.static)
+            chart_bits.append(built and log_tor_dim_at_most(rep.presentation, 1) == (rep.static, list(rep.reports)))
         out["charts_match"] = all(chart_bits)
         return out
 

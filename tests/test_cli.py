@@ -331,9 +331,38 @@ class TestRoundTrips:
         wrong_substitution["charts"][0]["substitution"] = [["5", "0"], ["0", "7"]]
         wrong_presentation = json.loads(out)
         wrong_presentation["charts"][0]["presentation"] = obj["charts"][1]["presentation"]
+        flipped_report = json.loads(out)
+        flipped_report["charts"][0]["reports"][0]["vanishes"] = False
         assert jsonio.certificate_from_json(obj).replay()["charts_match"] is True
-        for doc in (wrong_substitution, wrong_presentation):
+        for doc in (wrong_substitution, wrong_presentation, flipped_report):
             assert jsonio.certificate_from_json(doc).replay()["charts_match"] is False
+
+    def test_failing_chart_keeps_its_witness(self):
+        """A certificate of the coarse one-cone fan for coker(x, y): its chart is
+        not static, and parsing keeps the witnesses, so it re-emits byte for byte
+        and replays; an edited witness does not replay."""
+        from statikit import jsonio
+        from statikit.polyhedral import Fan
+        from statikit.staticity import log_tor_dim_at_most
+        from statikit.statify import ChartReport, StatificationCertificate, compute_statification
+
+        pres = jsonio.presentation_from_json(json.loads((FIXTURES / "skyscraper.json").read_text()))
+        honest = compute_statification(pres)
+        cone = pres.chart.cone
+        holds, reports = log_tor_dim_at_most(pres, 1)
+        chart = ChartReport(cone=cone, substitution=[(1, 0), (0, 1)], presentation=pres, static=holds, reports=tuple(reports))
+        cert = StatificationCertificate(pres, honest.kernel, honest.stratification, Fan(cone, [cone]), [chart])
+        out = jsonio.dumps(jsonio.certificate_to_json(cert, "0" * 64))
+        obj = json.loads(out)
+        failing = [rep for rep in obj["charts"][0]["reports"] if "witness" in rep]
+        assert obj["all_static"] is False and failing
+
+        parsed = jsonio.certificate_from_json(obj)
+        assert parsed.charts[0].reports == chart.reports
+        assert jsonio.dumps(jsonio.certificate_to_json(parsed, "0" * 64)) == out
+        assert parsed.replay()["charts_match"] is True
+        failing[0]["witness"]["vector"][0]["coeff"] = "7"
+        assert jsonio.certificate_from_json(obj).replay()["charts_match"] is False
 
     def test_presentation_roundtrip(self):
         from statikit import jsonio

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from statikit import (
     Cone,
@@ -20,6 +21,8 @@ from statikit import (
     star_subdivision,
     syzygies,
 )
+from statikit import groebner
+from statikit.groebner import _divides, _homogenize, base_key, elim_key, leading_term, vec_axpy, weight_key
 from conftest import apply_matrix_to_vector
 
 
@@ -117,6 +120,131 @@ class TestReducedGB:
         gb = reduced_gb(m)
         again = reduced_gb(gb.as_submodule())
         assert gb.key() == again.key()
+
+
+# ---------------------------------------------------------------------------
+# Plain Buchberger, the oracle for groebner.buchberger: every pair is formed,
+# in the order the basis grows, and reduced in full.
+
+
+def normal_form(vec, basis, key):
+    """Full normal form of vec against (vector, leading-term) pairs."""
+    work = dict(vec)
+    remainder = {}
+    while work:
+        t = max(work, key=key)
+        exp, comp = t
+        hit = None
+        for g, lt in basis:
+            lexp, lcomp = lt
+            if lcomp == comp and _divides(lexp, exp):
+                hit = (g, lt)
+                break
+        if hit is None:
+            remainder[t] = work.pop(t)
+            continue
+        g, (lexp, lcomp) = hit
+        coeff = work[t] / g[(lexp, lcomp)]
+        shift = tuple(a - b for a, b in zip(exp, lexp))
+        vec_axpy(work, -coeff, shift, g)
+    return remainder
+
+
+def _spair(f, lf, g, lg):
+    (ef, cf), (eg, cg) = lf, lg
+    lcm = tuple(max(a, b) for a, b in zip(ef, eg))
+    out = {}
+    vec_axpy(out, Fraction(1) / f[lf], tuple(a - b for a, b in zip(lcm, ef)), f)
+    vec_axpy(out, Fraction(-1) / g[lg], tuple(a - b for a, b in zip(lcm, eg)), g)
+    return out
+
+
+def buchberger(vectors, key):
+    """Reduced Groebner basis, as marked pairs, of the module the vectors generate.
+
+    Plain Buchberger with full normal forms. For weight keys the input must
+    be homogeneous, otherwise reduction may not terminate.
+    """
+    basis = [(dict(v), leading_term(v, key)) for v in vectors if v]
+    pairs = [(i, j) for i in range(len(basis)) for j in range(i)]
+    while pairs:
+        i, j = pairs.pop(0)
+        (f, lf), (g, lg) = basis[i], basis[j]
+        if lf[1] != lg[1]:
+            continue
+        s = _spair(f, lf, g, lg)
+        r = normal_form(s, basis, key)
+        if r:
+            basis.append((r, leading_term(r, key)))
+            pairs.extend((len(basis) - 1, t) for t in range(len(basis) - 1))
+    return reduce_basis(basis, key)
+
+
+def reduce_basis(basis, key):
+    """The unique reduced basis of a marked basis: minimal, tail reduced, monic, sorted.
+
+    A minimal basis keeps its leading terms under tail reduction, so the
+    marks carry over.
+    """
+
+    def shadowed(i, lt):
+        return any(
+            j != i and other[1] == lt[1] and _divides(other[0], lt[0]) and (other != lt or j < i)
+            for j, (_, other) in enumerate(basis)
+        )
+
+    minimal = [pair for i, pair in enumerate(basis) if not shadowed(i, pair[1])]
+    out = []
+    for i, (g, lt) in enumerate(minimal):
+        r = normal_form(g, minimal[:i] + minimal[i + 1:], key)
+        lc = r[lt]
+        out.append(({t: c / lc for t, c in r.items()}, lt))
+    out.sort(key=lambda pair: key(pair[1]), reverse=True)
+    return out
+
+
+def random_vector(rng, nvars, rank, max_terms, max_exp):
+    coeffs = (1, -1, 2, -3, Fraction(1, 2))
+    return {
+        (tuple(rng.randint(0, max_exp) for _ in range(nvars)), rng.randrange(rank)): Fraction(rng.choice(coeffs))
+        for _ in range(rng.randint(1, max_terms))
+    }
+
+
+class TestBuchbergerDifferential:
+    def test_ideals_match_sympy_grevlex(self):
+        """Random ideals in 2-3 variables against sympy's reduced grevlex basis."""
+        rng = random.Random(2024)
+        for trial in range(80):
+            nvars = rng.choice((2, 3))
+            gens = sympy.symbols(f"x0:{nvars}")
+            vectors = [random_vector(rng, nvars, 1, 3, 3) for _ in range(rng.randint(1, 4))]
+            ours = {frozenset((exp, c) for (exp, _), c in g.items()) for g, _ in groebner.buchberger(vectors, base_key)}
+            exprs = [
+                sum(sympy.Rational(c.numerator, c.denominator) * sympy.prod(x**e for x, e in zip(gens, exp)) for (exp, _), c in v.items())
+                for v in vectors
+            ]
+            theirs = set()
+            for g in sympy.groebner(exprs, *gens, order="grevlex").exprs:
+                p = sympy.Poly(g, *gens, domain="QQ")
+                monic = p.quo_ground(p.LC(order="grevlex"))
+                theirs.add(frozenset((exp, Fraction(int(c.p), int(c.q))) for exp, c in monic.terms()))
+            assert ours == theirs, (trial, vectors)
+
+    @pytest.mark.parametrize("order", ["base", "elim", "weight"])
+    def test_modules_match_plain_buchberger(self, order):
+        """Random homogenized modules of rank 2-3 against plain Buchberger."""
+        rng = random.Random(f"modules-{order}")
+        for trial in range(60):
+            nvars, rank = rng.choice((2, 3)), rng.choice((2, 3))
+            vectors = [_homogenize(random_vector(rng, nvars, rank, 3, 2), nvars) for _ in range(rng.randint(2, 4))]
+            if order == "base":
+                key = base_key
+            elif order == "elim":
+                key = elim_key(rng.randint(1, rank - 1))
+            else:
+                key = weight_key(tuple(rng.randint(-2, 2) for _ in range(nvars)))
+            assert groebner.buchberger(vectors, key) == buchberger(vectors, key), (trial, vectors)
 
 
 class TestInitialModule:
