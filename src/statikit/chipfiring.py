@@ -6,15 +6,13 @@ Canonical representatives are base-reduced divisors computed with Dhar's
 burning algorithm.
 """
 
-from collections import deque
-
 from .linalg import smith_invariant_factors
 
 
 class Graph:
     """Connected loop-free multigraph on vertices 0..n-1."""
 
-    __slots__ = ("n", "edges", "_adj")
+    __slots__ = ("n", "edges", "_nbrs")
 
     def __init__(self, n, edges):
         self.n = int(n)
@@ -29,30 +27,19 @@ class Graph:
                 raise ValueError("edge endpoint out of range")
             norm.append((min(u, v), max(u, v)))
         self.edges = tuple(sorted(norm))
-        adj = [[0] * self.n for _ in range(self.n)]
+        # one {neighbour: multiplicity} map per vertex
+        self._nbrs = [{} for _ in range(self.n)]
         for u, v in self.edges:
-            adj[u][v] += 1
-            adj[v][u] += 1
-        self._adj = adj
-        if not self._connected():
+            self._nbrs[u][v] = self._nbrs[u].get(v, 0) + 1
+            self._nbrs[v][u] = self._nbrs[v].get(u, 0) + 1
+        if -1 in _distances(self, 0):
             raise ValueError("graph must be connected")
 
-    def _connected(self):
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            u = queue.popleft()
-            for v in range(self.n):
-                if self._adj[u][v] and v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        return len(seen) == self.n
-
     def multiplicity(self, u, v):
-        return self._adj[u][v]
+        return self._nbrs[u].get(v, 0)
 
     def degree(self, v):
-        return sum(self._adj[v])
+        return sum(self._nbrs[v].values())
 
     def key(self):
         return (self.n, self.edges)
@@ -64,15 +51,26 @@ class Graph:
         return f"Graph(n={self.n}, edges={list(self.edges)})"
 
 
+def _distances(graph, source):
+    """Breadth-first distances from ``source``; -1 marks unreachable vertices."""
+    dist = [-1] * graph.n
+    dist[source] = 0
+    queue = [source]
+    for u in queue:
+        for v in graph._nbrs[u]:
+            if dist[v] == -1:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
+
+
 def laplacian(graph):
     """L = degree diagonal minus adjacency with multiplicity."""
-    n = graph.n
-    out = [[0] * n for _ in range(n)]
-    for v in range(n):
-        out[v][v] = graph.degree(v)
-        for u in range(n):
-            if u != v:
-                out[v][u] = -graph.multiplicity(v, u)
+    out = [[0] * graph.n for _ in range(graph.n)]
+    for v, nbrs in enumerate(graph._nbrs):
+        out[v][v] = sum(nbrs.values())
+        for u, m in nbrs.items():
+            out[v][u] = -m
     return out
 
 
@@ -84,8 +82,11 @@ def _check_divisor(graph, divisor):
 
 
 def _apply_script(graph, divisor, script):
-    L = laplacian(graph)
-    return [divisor[v] - sum(L[v][u] * script[u] for u in range(graph.n)) for v in range(graph.n)]
+    """divisor - L script: v sends script[v] - script[u] chips along each edge uv."""
+    return [
+        divisor[v] - sum(m * (script[v] - script[u]) for u, m in nbrs.items())
+        for v, nbrs in enumerate(graph._nbrs)
+    ]
 
 
 def jacobian_group(graph):
@@ -105,58 +106,48 @@ def _reduce_with_script(graph, divisor, base):
     firing each unburnt set as many times as stays legal.
     """
     n = graph.n
-    L = laplacian(graph)
+    nbrs = graph._nbrs
     d = list(divisor)
     script = [0] * n
-
-    # distance levels from the base
-    dist = [-1] * n
-    dist[base] = 0
-    queue = deque([base])
-    while queue:
-        u = queue.popleft()
-        for v in range(n):
-            if graph.multiplicity(u, v) and dist[v] == -1:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    maxdist = max(dist)
+    dist = _distances(graph, base)
 
     def fire(vertices, times):
-        """d -= times * L * 1_vertices."""
+        """d -= times * L * 1_vertices, touching only their neighbours."""
         for u in vertices:
             script[u] += times
-            for v in range(n):
-                d[v] -= times * L[v][u]
+            for v, m in nbrs[u].items():
+                d[u] -= times * m
+                d[v] += times * m
 
-    for level in range(maxdist, 0, -1):
-        below = {v for v in range(n) if dist[v] < level}
+    # stage one: push all debt onto the base, one distance level at a time
+    for level in range(max(dist), 0, -1):
         need = 0
         for v in range(n):
             if dist[v] == level and d[v] < 0:
-                inbound = -sum(L[v][u] for u in below)
+                inbound = sum(m for u, m in nbrs[v].items() if dist[u] < level)
                 need = max(need, (-d[v] + inbound - 1) // inbound)
-        fire(below, need)
+        fire([v for v in range(n) if dist[v] < level], need)
 
-    # Dhar burning from the base
+    # Dhar burning from the base: each burnt vertex heats its neighbours by
+    # its edge counts, and a vertex burns once its heat exceeds its chips
     while True:
-        burnt = {base}
-        frontier = True
-        while frontier:
-            frontier = False
-            for v in range(n):
-                if v in burnt:
-                    continue
-                incoming = -sum(L[v][u] for u in burnt)
-                if incoming > d[v]:
-                    burnt.add(v)
-                    frontier = True
-        if len(burnt) == n:
+        heat = [0] * n
+        burnt = [False] * n
+        burnt[base] = True
+        stack = [base]
+        while stack:
+            for v, m in nbrs[stack.pop()].items():
+                if not burnt[v]:
+                    heat[v] += m
+                    if heat[v] > d[v]:
+                        burnt[v] = True
+                        stack.append(v)
+        unburnt = [v for v in range(n) if not burnt[v]]
+        if not unburnt:
             break
-        # every unburnt v has out[v] <= d[v] edges into the burnt set, so the
+        # every unburnt v has heat[v] <= d[v] edges into the burnt set, so the
         # unburnt set can fire as often as its poorest boundary vertex allows
-        unburnt = [v for v in range(n) if v not in burnt]
-        out = {v: -sum(L[v][u] for u in burnt) for v in unburnt}
-        fire(unburnt, min(d[v] // out[v] for v in unburnt if out[v] > 0))
+        fire(unburnt, min(d[v] // heat[v] for v in unburnt if heat[v]))
 
     return d, script
 

@@ -65,14 +65,15 @@ def elim_key(split):
 
 
 def vec_axpy(target, coeff, shift, vec):
-    """target += coeff * x^shift * vec, in place."""
+    """target += coeff * x^shift * vec, in place; zero terms are dropped."""
     for (exp, comp), c in vec.items():
         key = (tuple(a + b for a, b in zip(shift, exp)), comp)
-        new = target.get(key, Fraction(0)) + coeff * c
+        old = target.get(key)
+        new = coeff * c if old is None else old + coeff * c
         if new:
             target[key] = new
-        else:
-            target.pop(key, None)
+        elif old is not None:
+            del target[key]
 
 
 def leading_term(vec, key):

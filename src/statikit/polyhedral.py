@@ -301,39 +301,29 @@ def _cross_section_volume(cone):
 class Fan:
     """A finite fan: cones closed under faces with pairwise face intersections."""
 
-    __slots__ = ("ambient_dim", "support", "cones", "_max")
+    __slots__ = ("ambient_dim", "support", "cones", "max_cones")
 
     def __init__(self, support, cones):
         self.support = support
         self.ambient_dim = support.ambient_dim
         closed = {}
+        # a fan cone inside another is a face of it, and every fan cone is a
+        # face of a given cone: the maximal cones are no proper face of one
+        proper = set()
         for c in cones:
             if c.ambient_dim != self.ambient_dim:
                 raise ValueError("cone dimension mismatch")
             for f in c.faces():
                 closed[f.rays] = f
+                if f.rays != c.rays:
+                    proper.add(f.rays)
         if not closed:
             closed[()] = Cone(self.ambient_dim, [])
         self.cones = tuple(closed[k] for k in sorted(closed))
         for c in self.cones:
             if not self.support.contains_cone(c):
                 raise ValueError("fan cone outside the declared support")
-        self._max = None
-
-    @property
-    def max_cones(self):
-        if self._max is None:
-            out = []
-            for c in self.cones:
-                strictly_inside = False
-                for o in self.cones:
-                    if o.key() != c.key() and o.contains_cone(c):
-                        strictly_inside = True
-                        break
-                if not strictly_inside:
-                    out.append(c)
-            self._max = tuple(out)
-        return self._max
+        self.max_cones = tuple(c for c in self.cones if c.rays not in proper)
 
     @property
     def ray_set(self):

@@ -10,7 +10,7 @@ from .errors import NonSmoothChartError, SupportMismatchError, UnsupportedSuppor
 from .groebner import groebner_stratification
 from .linalg import inverse_unimodular
 from .polyhedral import Fan, orthant, refines, stratification_to_smooth_fan
-from .staticity import ModulePresentation, SmoothChart, log_tor_dim_at_most
+from .staticity import ModulePresentation, SmoothChart, is_static, log_tor_dim_at_most
 
 
 def _matmul(a, b):
@@ -200,9 +200,7 @@ def verify_theorem_instance(presentation, fan):
     modification = ToricModification(chart, fan)
     verdicts = []
     for cone, _chart, _e in modification.charts:
-        pulled = pullback_presentation(presentation, modification, cone)
-        holds, _ = log_tor_dim_at_most(pulled, 1)
-        verdicts.append((cone, holds))
+        verdicts.append((cone, is_static(pullback_presentation(presentation, modification, cone))))
     return TheoremCheck(
         fan_refines_stratification=side_refines,
         charts=tuple(verdicts),

@@ -101,19 +101,23 @@ def oracle_snf_diagonal(rows):
     return sorted(out)
 
 
+def oracle_laplacian(n, edges):
+    """Graph Laplacian summed edge by edge, in either orientation."""
+    l = [[0] * n for _ in range(n)]
+    for u, v in edges:
+        l[u][u] += 1
+        l[v][v] += 1
+        l[u][v] -= 1
+        l[v][u] -= 1
+    return l
+
+
 def oracle_spanning_trees(graph):
     """Matrix-tree theorem via a sympy determinant of the reduced Laplacian."""
-    n = graph.n
-    if n == 1:
+    if graph.n == 1:
         return 1
-    l = [[0] * n for _ in range(n)]
-    for v in range(n):
-        l[v][v] = graph.degree(v)
-        for u in range(n):
-            if u != v:
-                l[v][u] = -graph.multiplicity(v, u)
-    red = sympy.Matrix([row[1:] for row in l[1:]])
-    return int(red.det())
+    l = oracle_laplacian(graph.n, graph.edges)
+    return int(sympy.Matrix([row[1:] for row in l[1:]]).det())
 
 
 # ---------------------------------------------------------------------------

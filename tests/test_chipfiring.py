@@ -12,11 +12,32 @@ from statikit import (
     laplacian,
     reduced_divisor,
 )
-from conftest import oracle_snf_diagonal, oracle_spanning_trees
+from conftest import oracle_laplacian, oracle_snf_diagonal, oracle_spanning_trees
 
 
 def cycle(n):
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def deep_graph(rng, n, min_depth):
+    """A random recursive tree plus n // 2 random edges, redrawn until some
+    vertex lies at distance ``min_depth`` or more from vertex 0."""
+    while True:
+        edges = [(v, rng.randint(0, v - 1)) for v in range(1, n)]
+        while len(edges) < n - 1 + n // 2:
+            u, v = rng.randint(0, n - 1), rng.randint(0, n - 1)
+            if u != v:
+                edges.append((u, v))
+        dist = [0] + [None] * (n - 1)
+        queue = [0]
+        for u in queue:
+            for a, b in edges:
+                for x, y in ((a, b), (b, a)):
+                    if x == u and dist[y] is None:
+                        dist[y] = dist[u] + 1
+                        queue.append(y)
+        if max(dist) >= min_depth:
+            return Graph(n, edges)
 
 
 def random_connected_graph(rng, max_v=6, max_extra=4):
@@ -56,6 +77,18 @@ class TestLaplacian:
 
     def test_parallel_edges(self):
         assert laplacian(Graph(2, [(0, 1)] * 3)) == [[3, -3], [-3, 3]]
+
+    def test_matches_edge_list_laplacian_on_multigraphs(self):
+        rng = random.Random(13)
+        for _ in range(30):
+            n = rng.randint(2, 9)
+            edges = [(v, rng.randint(0, v - 1)) for v in range(1, n)]
+            for _ in range(rng.randint(0, 2 * n)):
+                u, v = rng.sample(range(n), 2)
+                # parallel edges, given in one orientation or in both
+                edges += [(u, v), (v, u)][: rng.randint(1, 2)] * rng.randint(1, 2)
+            rng.shuffle(edges)
+            assert laplacian(Graph(n, edges)) == oracle_laplacian(n, edges)
 
     def test_row_sums_zero_and_symmetric(self):
         rng = random.Random(5)
@@ -130,14 +163,14 @@ class TestReducedDivisor:
         g = cycle(3)
         d = [0, 0, 3]
         r = reduced_divisor(g, d)
-        l = laplacian(g)
+        l = oracle_laplacian(g.n, g.edges)
         reduced_forms = set()
         for script in itertools.product(range(-3, 4), repeat=3):
             cand = [d[v] - sum(l[v][u] * script[u] for u in range(3)) for v in range(3)]
             if all(c >= 0 for c in cand[1:]):
                 burnt = {0}
                 while True:
-                    new = [v for v in range(3) if v not in burnt and sum(g.multiplicity(v, u) for u in burnt) > cand[v]]
+                    new = [v for v in range(3) if v not in burnt and -sum(l[v][u] for u in burnt) > cand[v]]
                     if not new:
                         break
                     burnt.update(new)
@@ -148,24 +181,30 @@ class TestReducedDivisor:
     def test_reduced_on_random_graphs_by_burn_oracle(self):
         """Dhar's criterion, written independently: a divisor nonnegative off
         the base is reduced iff burning from the base burns every vertex.
-        The class is checked by solving the reduced Laplacian system over Q."""
+        The class is checked by solving the reduced Laplacian system over Q.
+        Edge counts come from ``g.edges`` alone. The 20-30-vertex graphs of
+        depth 4 or more run stage one over several distance levels."""
         rng = random.Random(31)
-        for _ in range(30):
-            g = random_connected_graph(rng, max_v=8, max_extra=6)
-            d = [rng.randint(-6, 12) for _ in range(g.n)]
+        cases = []
+        for i in range(36):
+            g = random_connected_graph(rng, max_v=8, max_extra=6) if i < 30 else deep_graph(rng, rng.randint(20, 30), 4)
+            cases.append((g, [rng.randint(-6, 12) for _ in range(g.n)]))
+        for g, d in cases:
             r = reduced_divisor(g, d)
             assert all(x >= 0 for x in r[1:])
+            l = oracle_laplacian(g.n, g.edges)
             burnt = {0}
             while True:
-                new = [v for v in range(g.n) if v not in burnt and sum(g.multiplicity(v, u) for u in burnt) > r[v]]
+                new = [v for v in range(g.n) if v not in burnt and -sum(l[v][u] for u in burnt) > r[v]]
                 if not new:
                     break
                 burnt.update(new)
             assert len(burnt) == g.n
             assert sum(r) == sum(d)
             if g.n > 1:
-                l = sympy.Matrix([row[1:] for row in laplacian(g)[1:]])
-                script = l.LUsolve(sympy.Matrix([a - b for a, b in zip(d[1:], r[1:])]))
+                script = sympy.Matrix([row[1:] for row in l[1:]]).LUsolve(
+                    sympy.Matrix([a - b for a, b in zip(d[1:], r[1:])])
+                )
                 assert all(x.is_integer for x in script)
 
 

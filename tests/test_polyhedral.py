@@ -306,6 +306,35 @@ class TestStratificationToSmoothFan:
             assert (len(fan.cones) == len(closures)) == valid_and_refining
 
 
+def containment_max_cones(fan):
+    """Maximal cones by definition: the fan cones inside no other fan cone."""
+    return tuple(
+        c for c in fan.cones
+        if not any(o.key() != c.key() and o.contains_cone(c) for o in fan.cones)
+    )
+
+
+class TestMaxCones:
+    def test_match_containment_definition(self):
+        """Differential test on fans built by star subdivision, common
+        refinement and smoothing of random Groebner stratifications."""
+        rng = random.Random(41)
+        fans = []
+        for _ in range(8):
+            nvars = rng.choice([2, 3])
+            row = [Poly(nvars, {tuple(rng.randint(0, 2) for _ in range(nvars)): rng.choice([1, -1]) for _ in range(2)})
+                   for _ in range(2)]
+            m = ModulePresentation(orthant_chart(nvars), [row])
+            s = groebner_stratification(m.kernel(), m.chart.cone).stratification
+            smooth = stratification_to_smooth_fan(s)
+            star = star_subdivision(smooth, tuple(rng.randint(1, 3) for _ in range(nvars)))
+            other = star_subdivision(Fan(s.support, [s.support]), tuple(rng.randint(1, 3) for _ in range(nvars)))
+            fans += [smooth, star, other, common_refinement(star, other)]
+        assert any(len(f.max_cones) > 2 for f in fans)
+        for fan in fans:
+            assert fan.max_cones == containment_max_cones(fan)
+
+
 class TestHilbertBasis:
     def test_smooth_cone_basis_is_rays(self, quadrant):
         assert hilbert_basis(quadrant) == ((0, 1), (1, 0))
