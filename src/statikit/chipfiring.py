@@ -146,8 +146,17 @@ def _reduce_with_script(graph, divisor, base):
         if not unburnt:
             break
         # every unburnt v has heat[v] <= d[v] edges into the burnt set, so the
-        # unburnt set can fire as often as its poorest boundary vertex allows
-        fire(unburnt, min(d[v] // heat[v] for v in unburnt if heat[v]))
+        # unburnt set can fire as often as its poorest boundary vertex allows;
+        # chips move only across the boundary, the moves inside it cancel
+        times = min(d[v] // heat[v] for v in unburnt if heat[v])
+        for u in unburnt:
+            d[u] -= times * heat[u]
+            script[u] += times
+        for v in range(n):
+            if burnt[v]:
+                for u, m in nbrs[v].items():
+                    if not burnt[u]:
+                        d[v] += times * m
 
     return d, script
 

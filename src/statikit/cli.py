@@ -263,6 +263,8 @@ PARSER.add_argument("--output", help="write the JSON result to this path")
 PARSER.add_argument("--schema", action="store_true", help="print the input schema and exit")
 PARSER.add_argument("--audit", action="store_true", help="statify: run the second-resolution audit")
 PARSER.add_argument("--fail-fast", action="store_true", help="statify: stop at the first non-static chart")
+# parse_intermixed_args formats this on every call while usage is unset
+PARSER.usage = PARSER.format_usage().removeprefix("usage: ")
 
 
 def main(argv=None):

@@ -1,10 +1,13 @@
 """Groebner machinery for submodules of free modules over Laurent polynomial rings.
 
 Internal representation: a module vector is a dict mapping (exponent tuple,
-component index) to a nonzero Fraction. Exponents may be negative in user
-facing Laurent vectors; all Groebner computations run on polynomial
-(nonnegative) data, with Laurent questions reduced to polynomial ones by
-unit-monomial translation and saturation by the product of the variables.
+component index) to a nonzero Fraction. Inside `buchberger` the coefficients
+are integers instead, each basis element a primitive integer vector, and
+only the reduced basis it returns is made monic over the rationals.
+Exponents may be negative in user facing Laurent vectors; all Groebner
+computations run on polynomial (nonnegative) data, with Laurent questions
+reduced to polynomial ones by unit-monomial translation and saturation by
+the product of the variables.
 
 Initial forms take the minimum of the weight pairing; internally weights are
 negated so the usual max-convention basis machinery applies, and arbitrary
@@ -15,6 +18,8 @@ variable.
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import combinations
+from math import gcd, lcm
+from operator import add, le, sub
 
 from .errors import UnsupportedSupportError, ZeroVectorError
 from .linalg import dot, lex_positive, primitive, vneg
@@ -67,7 +72,7 @@ def elim_key(split):
 def vec_axpy(target, coeff, shift, vec):
     """target += coeff * x^shift * vec, in place; zero terms are dropped."""
     for (exp, comp), c in vec.items():
-        key = (tuple(a + b for a, b in zip(shift, exp)), comp)
+        key = (tuple(map(add, shift, exp)), comp)
         old = target.get(key)
         new = coeff * c if old is None else old + coeff * c
         if new:
@@ -81,41 +86,81 @@ def leading_term(vec, key):
 
 
 def _divides(e1, e2):
-    return all(a <= b for a, b in zip(e1, e2))
+    return all(map(le, e1, e2))
+
+
+class _TermKeys(dict):
+    """term -> order key, each computed on its first lookup."""
+
+    __slots__ = ("key",)
+
+    def __init__(self, key):
+        super().__init__()
+        self.key = key
+
+    def __missing__(self, term):
+        k = self[term] = self.key(term)
+        return k
+
+
+def _primitive(vec):
+    """vec divided by the gcd of its integer coefficients."""
+    content = gcd(*vec.values())
+    if content == 1:
+        return vec
+    return {t: c // content for t, c in vec.items()}
 
 
 def normal_form(vec, basis, key):
-    """Full normal form of vec against (vector, leading-term) pairs."""
+    """Full normal form of vec against (vector, leading-term) pairs, up to a nonzero factor.
+
+    Fraction free: where the reducer's leading coefficient b is not 1, the
+    work and the remainder are first scaled by b / gcd(a, b) for the
+    coefficient a being reduced, so integer input stays integer. The basis
+    must therefore be integer or monic; callers read only whether the
+    result is zero, except `reduce_basis`, which rescales it.
+    """
+    keys = key if isinstance(key, _TermKeys) else _TermKeys(key)
+    order = keys.__getitem__
+    reducers = {}  # component -> (leading exponent, vector, leading coefficient)
+    for g, lt in basis:
+        reducers.setdefault(lt[1], []).append((lt[0], g, g[lt]))
     work = dict(vec)
-    keys = {t: key(t) for t in work}  # each term's order key, computed once
     remainder = {}
     while work:
-        t = max(work, key=keys.__getitem__)
+        t = max(work, key=order)
         exp, comp = t
-        hit = None
-        for g, lt in basis:
-            lexp, lcomp = lt
-            if lcomp == comp and _divides(lexp, exp):
-                hit = (g, lt)
+        for lexp, g, b in reducers.get(comp, ()):
+            if all(map(le, lexp, exp)):
                 break
-        if hit is None:
+        else:
             remainder[t] = work.pop(t)
             continue
-        g, (lexp, lcomp) = hit
-        coeff = work[t] / g[(lexp, lcomp)]
-        shift = tuple(a - b for a, b in zip(exp, lexp))
-        vec_axpy(work, -coeff, shift, g)
-        for u in work:
-            if u not in keys:
-                keys[u] = key(u)
+        a = work[t]
+        if b == 1:
+            c = a
+        else:
+            d = gcd(a, b)
+            m, c = b // d, a // d
+            if m < 0:
+                m, c = -m, -c
+            if m != 1:
+                for u in work:
+                    work[u] *= m
+                for u in remainder:
+                    remainder[u] *= m
+        vec_axpy(work, -c, tuple(map(sub, exp, lexp)), g)
     return remainder
 
 
-def _spair(f, lf, g, lg, lcm):
-    (ef, _), (eg, _) = lf, lg
+def _spair(f, lf, g, lg, top):
+    """(b/d) x^(top - lf) f - (a/d) x^(top - lg) g, for the lcm exponent top,
+    leading coefficients a, b and d = gcd(a, b)."""
+    a, b = f[lf], g[lg]
+    d = gcd(a, b)
     out = {}
-    vec_axpy(out, Fraction(1) / f[lf], tuple(a - b for a, b in zip(lcm, ef)), f)
-    vec_axpy(out, Fraction(-1) / g[lg], tuple(a - b for a, b in zip(lcm, eg)), g)
+    vec_axpy(out, b // d, tuple(map(sub, top, lf[0])), f)
+    vec_axpy(out, -(a // d), tuple(map(sub, top, lg[0])), g)
     return out
 
 
@@ -138,10 +183,15 @@ def buchberger(vectors, key):
       have if the inputs were homogenized. Selecting by the lcm alone takes
       high-degree pairs first under weight keys and can blow up.
 
-    The reduced basis is unique, so none of this changes the result. For
-    weight keys the input must be homogeneous, otherwise reduction may not
-    terminate.
+    The basis is kept as primitive integer vectors: each input is cleared
+    of denominators and divided by its content, S-vectors and reduction are
+    fraction free, and each new element is made primitive. Each term's
+    order key is computed once per run. The reduced basis is unique, so
+    none of this changes the result. For weight keys the input must be
+    homogeneous, otherwise reduction may not terminate.
     """
+    keys = _TermKeys(key)
+    order = keys.__getitem__
     basis = []
     sugars = []
     peers = {}  # component -> indices of the basis elements led there
@@ -149,15 +199,15 @@ def buchberger(vectors, key):
     pending = set()  # the (j, i) in the queue
 
     def add(g, sugar):
-        lt = leading_term(g, key)
+        lt = leading_term(g, order)
         i = len(basis)
         basis.append((g, lt))
         sugars.append(sugar)
         exp, comp = lt
         for j in peers.setdefault(comp, []):
-            lcm = tuple(map(max, basis[j][1][0], exp))
-            pair_sugar = sum(lcm) + max(sugars[j] - sum(basis[j][1][0]), sugar - sum(exp))
-            heappush(queue, (pair_sugar, key((lcm, comp)), j, i, lcm))
+            top = tuple(map(max, basis[j][1][0], exp))
+            pair_sugar = sum(top) + max(sugars[j] - sum(basis[j][1][0]), sugar - sum(exp))
+            heappush(queue, (pair_sugar, keys[(top, comp)], j, i, top))
             pending.add((j, i))
         peers[comp].append(i)
 
@@ -166,27 +216,29 @@ def buchberger(vectors, key):
 
     for v in vectors:
         if v:
-            add(dict(v), max(sum(exp) for exp, _ in v))
+            scale = lcm(*(c.denominator for c in v.values()))
+            add(_primitive({t: c.numerator * (scale // c.denominator) for t, c in v.items()}), max(sum(exp) for exp, _ in v))
     while queue:
-        sugar, _, j, i, lcm = heappop(queue)
+        sugar, _, j, i, top = heappop(queue)
         pending.discard((j, i))
         comp = basis[i][1][1]
         if any(
-            k != i and k != j and _divides(basis[k][1][0], lcm) and treated(i, k) and treated(j, k)
+            k != i and k != j and _divides(basis[k][1][0], top) and treated(i, k) and treated(j, k)
             for k in peers[comp]
         ):
             continue
-        r = normal_form(_spair(*basis[j], *basis[i], lcm), basis, key)
+        r = normal_form(_spair(*basis[j], *basis[i], top), basis, keys)
         if r:
-            add(r, sugar)
-    return reduce_basis(basis, key)
+            add(_primitive(r), sugar)
+    return reduce_basis(basis, keys)
 
 
-def reduce_basis(basis, key):
-    """The unique reduced basis of a marked basis: minimal, tail reduced, monic, sorted.
+def reduce_basis(basis, keys):
+    """The unique reduced basis of a marked integer basis: minimal, tail reduced, monic, sorted.
 
-    A minimal basis keeps its leading terms under tail reduction, so the
-    marks carry over.
+    `keys` is the run's term-key memo. A minimal basis keeps its leading
+    terms under tail reduction, so the marks carry over. The output
+    coefficients are Fractions.
     """
 
     def shadowed(i, lt):
@@ -198,10 +250,10 @@ def reduce_basis(basis, key):
     minimal = [pair for i, pair in enumerate(basis) if not shadowed(i, pair[1])]
     out = []
     for i, (g, lt) in enumerate(minimal):
-        r = normal_form(g, minimal[:i] + minimal[i + 1:], key)
+        r = normal_form(g, minimal[:i] + minimal[i + 1:], keys)
         lc = r[lt]
-        out.append(({t: c / lc for t, c in r.items()}, lt))
-    out.sort(key=lambda pair: key(pair[1]), reverse=True)
+        out.append(({t: Fraction(c, lc) for t, c in r.items()}, lt))
+    out.sort(key=lambda pair: keys[pair[1]], reverse=True)
     return out
 
 

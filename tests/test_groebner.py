@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -245,6 +246,114 @@ class TestBuchbergerDifferential:
             else:
                 key = weight_key(tuple(rng.randint(-2, 2) for _ in range(nvars)))
             assert groebner.buchberger(vectors, key) == buchberger(vectors, key), (trial, vectors)
+
+
+def random_integer_vector(rng, nvars, rank, max_terms, max_exp):
+    return {
+        (tuple(rng.randint(0, max_exp) for _ in range(nvars)), rng.randrange(rank)): rng.choice((-1, 1)) * rng.randint(1, 12)
+        for _ in range(rng.randint(1, max_terms))
+    }
+
+
+def primitive_part(vec):
+    content = math.gcd(*vec.values())
+    return {t: c // content for t, c in vec.items()}
+
+
+def as_fractions(vec):
+    return {t: Fraction(c) for t, c in vec.items()}
+
+
+class TestIntegerKernel:
+    """groebner.normal_form and groebner.buchberger compute on primitive
+    integer vectors and reduce fraction free."""
+
+    @pytest.mark.parametrize("order", ["base", "elim"])
+    def test_normal_form_is_a_multiple_of_the_fraction_remainder(self, order):
+        """Random integer vectors against non-monic primitive marked bases:
+        the remainder vanishes exactly when the Fraction oracle's does, and
+        otherwise is a nonzero rational multiple of it."""
+        rng = random.Random(f"normal-form-{order}")
+        zero = scaled = 0
+        for trial in range(150):
+            nvars, rank = rng.choice((2, 3)), rng.choice((1, 2))
+            key = base_key if order == "base" else elim_key(1)
+            basis = []
+            for _ in range(rng.randint(1, 4)):
+                g = primitive_part(random_integer_vector(rng, nvars, rank, 3, 2))
+                basis.append((g, leading_term(g, key)))
+            if rng.random() < 0.4:
+                # a combination of shifted basis elements, so that some remainders vanish
+                vec = {}
+                for g, _ in rng.sample(basis, rng.randint(1, len(basis))):
+                    shift = tuple(rng.randint(0, 2) for _ in range(nvars))
+                    vec_axpy(vec, rng.choice((-1, 1)) * rng.randint(1, 12), shift, g)
+            else:
+                vec = random_integer_vector(rng, nvars, rank, 5, 4)
+            if not vec:
+                continue
+            ours = groebner.normal_form(vec, basis, key)
+            theirs = normal_form(as_fractions(vec), [(as_fractions(g), lt) for g, lt in basis], key)
+            assert all(type(c) is int for c in ours.values()), (trial, vec, basis)
+            assert ours.keys() == theirs.keys(), (trial, vec, basis)
+            if not ours:
+                zero += 1
+                continue
+            ratios = {Fraction(c) / theirs[t] for t, c in ours.items()}
+            assert len(ratios) == 1, (trial, vec, basis)
+            if ratios != {1}:
+                scaled += 1
+        assert zero >= 20 and scaled >= 20, (zero, scaled)
+
+    def test_buchberger_returns_monic_fractions(self):
+        rng = random.Random("monic")
+        for trial in range(40):
+            nvars, rank = rng.choice((2, 3)), rng.choice((1, 2))
+            vectors = [_homogenize(random_vector(rng, nvars, rank, 3, 2), nvars) for _ in range(rng.randint(1, 3))]
+            vectors += [as_fractions(random_integer_vector(rng, nvars + 1, rank, 2, 2))]
+            key = weight_key(tuple(rng.randint(-2, 2) for _ in range(nvars))) if rng.random() < 0.5 else base_key
+            gb = groebner.buchberger(vectors, key)
+            assert gb, (trial, vectors)
+            for g, lt in gb:
+                assert all(type(c) is Fraction for c in g.values()), (trial, vectors)
+                assert g[lt] == 1 and lt == leading_term(g, key), (trial, vectors)
+
+    @pytest.mark.parametrize("order", ["base", "elim", "weight"])
+    def test_large_coefficients_match_plain_buchberger(self, order, monkeypatch):
+        """Coefficients from +-1 to +-12, halves and thirds, against plain
+        Buchberger; inside the kernel every reducer is a primitive integer
+        vector, and some lead with a coefficient other than +-1."""
+        seen = {"calls": 0, "non_unit": 0}
+        kernel = groebner.normal_form
+
+        def spy(vec, basis, key):
+            seen["calls"] += 1
+            for g, _ in basis:
+                assert all(type(c) is int for c in g.values()), g
+                assert math.gcd(*g.values()) == 1, g
+            seen["non_unit"] += any(abs(g[lt]) != 1 for g, lt in basis)
+            return kernel(vec, basis, key)
+
+        monkeypatch.setattr(groebner, "normal_form", spy)
+        rng = random.Random(f"large-{order}")
+        coeffs = [s * c for s in (1, -1) for c in range(1, 13)] + [Fraction(s, d) for s in (1, -1, 5) for d in (2, 3)]
+        for trial in range(40):
+            nvars, rank = rng.choice((2, 3)), rng.choice((1, 2, 3))
+            vectors = []
+            for _ in range(rng.randint(2, 4)):
+                vec = {
+                    (tuple(rng.randint(0, 2) for _ in range(nvars)), rng.randrange(rank)): Fraction(rng.choice(coeffs))
+                    for _ in range(rng.randint(1, 3))
+                }
+                vectors.append(_homogenize(vec, nvars))
+            if order == "base":
+                key = base_key
+            elif order == "elim":
+                key = elim_key(rng.randint(1, max(1, rank - 1)))
+            else:
+                key = weight_key(tuple(rng.randint(-2, 2) for _ in range(nvars)))
+            assert groebner.buchberger(vectors, key) == buchberger(vectors, key), (trial, vectors)
+        assert seen["calls"] and seen["non_unit"] >= seen["calls"] // 2, seen
 
 
 class TestInitialModule:
