@@ -111,13 +111,22 @@ def _reduce_with_script(graph, divisor, base):
     script = [0] * n
     dist = _distances(graph, base)
 
-    def fire(vertices, times):
-        """d -= times * L * 1_vertices, touching only their neighbours."""
-        for u in vertices:
-            script[u] += times
-            for v, m in nbrs[u].items():
-                d[u] -= times * m
-                d[v] += times * m
+    def fire(outside, times):
+        """Fire every vertex that ``outside`` leaves unmarked ``times`` times:
+        d -= times * L * 1_fired.
+
+        Chips move only along edges that leave the fired set, since the moves
+        inside it cancel. The walk runs over the outside vertices, whose
+        neighbour lists are far shorter in total than the fired set's.
+        """
+        for v in range(n):
+            if outside[v]:
+                for u, m in nbrs[v].items():
+                    if not outside[u]:
+                        d[u] -= times * m
+                        d[v] += times * m
+            else:
+                script[v] += times
 
     # stage one: push all debt onto the base, one distance level at a time
     for level in range(max(dist), 0, -1):
@@ -126,7 +135,7 @@ def _reduce_with_script(graph, divisor, base):
             if dist[v] == level and d[v] < 0:
                 inbound = sum(m for u, m in nbrs[v].items() if dist[u] < level)
                 need = max(need, (-d[v] + inbound - 1) // inbound)
-        fire([v for v in range(n) if dist[v] < level], need)
+        fire([x >= level for x in dist], need)
 
     # Dhar burning from the base: each burnt vertex heats its neighbours by
     # its edge counts, and a vertex burns once its heat exceeds its chips
@@ -146,17 +155,8 @@ def _reduce_with_script(graph, divisor, base):
         if not unburnt:
             break
         # every unburnt v has heat[v] <= d[v] edges into the burnt set, so the
-        # unburnt set can fire as often as its poorest boundary vertex allows;
-        # chips move only across the boundary, the moves inside it cancel
-        times = min(d[v] // heat[v] for v in unburnt if heat[v])
-        for u in unburnt:
-            d[u] -= times * heat[u]
-            script[u] += times
-        for v in range(n):
-            if burnt[v]:
-                for u, m in nbrs[v].items():
-                    if not burnt[u]:
-                        d[v] += times * m
+        # unburnt set can fire as often as its poorest boundary vertex allows
+        fire(burnt, min(d[v] // heat[v] for v in unburnt if heat[v]))
 
     return d, script
 

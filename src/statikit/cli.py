@@ -253,9 +253,12 @@ RUNNERS = {
 }
 
 
+# A fixed width (the default on an 80-column terminal) keeps the help the same
+# on every terminal, so the usage string can be formatted once, below.
 PARSER = argparse.ArgumentParser(
     prog="statikit",
     description="Exact Groebner stratifications, staticity certificates, and chip firing.",
+    formatter_class=lambda prog: argparse.HelpFormatter(prog, width=78),
 )
 PARSER.add_argument("command", choices=RUNNERS)
 PARSER.add_argument("input", nargs="?", help="input path, '-' for stdin, or inline JSON")
@@ -263,7 +266,7 @@ PARSER.add_argument("--output", help="write the JSON result to this path")
 PARSER.add_argument("--schema", action="store_true", help="print the input schema and exit")
 PARSER.add_argument("--audit", action="store_true", help="statify: run the second-resolution audit")
 PARSER.add_argument("--fail-fast", action="store_true", help="statify: stop at the first non-static chart")
-# parse_intermixed_args formats this on every call while usage is unset
+# parse_intermixed_args formats the usage on every call while it is unset
 PARSER.usage = PARSER.format_usage().removeprefix("usage: ")
 
 

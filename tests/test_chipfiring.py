@@ -210,9 +210,9 @@ class TestReducedDivisor:
 
 
 def whole_set_reduce_with_script(graph, divisor, base):
-    """The previous `_reduce_with_script`, which fires each unburnt set vertex
-    by vertex along every edge, inside moves included; the oracle for the
-    boundary-only firing."""
+    """The previous `_reduce_with_script`, which fires each distance sublevel
+    and each unburnt set vertex by vertex along every edge, inside moves
+    included; the oracle for the boundary-only firing."""
     n = graph.n
     nbrs = graph._nbrs
     d = list(divisor)
@@ -256,9 +256,9 @@ def whole_set_reduce_with_script(graph, divisor, base):
 
 class TestBoundaryFiring:
     def test_matches_whole_set_firing(self):
-        """Divisor and script agree with firing the whole unburnt set, on
-        deep 20-40-vertex graphs and on small random multigraphs, from
-        several bases."""
+        """Divisor and script agree with firing along every edge of the fired
+        sets, in both stages, on deep 20-40-vertex graphs and on small random
+        multigraphs, from several bases."""
         rng = random.Random(53)
         graphs = [deep_graph(rng, rng.randint(20, 40), rng.randint(3, 6)) for _ in range(12)]
         graphs += [random_connected_graph(rng, max_v=9, max_extra=10) for _ in range(40)]

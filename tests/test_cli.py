@@ -1,4 +1,5 @@
 import json
+import os
 import random
 import subprocess
 import sys
@@ -23,6 +24,27 @@ SCHEMA_FIXTURES = [
     ("firing-script", "firing_script_c3.json"),
     ("stratify", "stratify_binomial.json"),
 ]
+
+# the help of an 80-column terminal, recorded from the CLI as it was before the
+# usage string was formatted once at import
+USAGE = """usage: statikit [-h] [--output OUTPUT] [--schema] [--audit] [--fail-fast]
+                {stratify,statify,check-static,tor-dim,verify-theorem,jacobian,chip-equiv,firing-script}
+                [input]
+"""
+HELP = USAGE + """
+Exact Groebner stratifications, staticity certificates, and chip firing.
+
+positional arguments:
+  {stratify,statify,check-static,tor-dim,verify-theorem,jacobian,chip-equiv,firing-script}
+  input                 input path, '-' for stdin, or inline JSON
+
+options:
+  -h, --help            show this help message and exit
+  --output OUTPUT       write the JSON result to this path
+  --schema              print the input schema and exit
+  --audit               statify: run the second-resolution audit
+  --fail-fast           statify: stop at the first non-static chart
+"""
 
 
 def run_cli(args, capsys):
@@ -378,3 +400,28 @@ class TestRoundTrips:
         doc = json.loads(out)
         strat = jsonio.stratification_from_json(doc)
         assert jsonio.stratification_to_json(strat) == doc
+
+
+class TestHelpText:
+    @pytest.mark.parametrize("columns", ["40", "80", "200"])
+    def test_help_is_the_same_at_every_terminal_width(self, columns, monkeypatch, capsys):
+        # in process the usage was formatted at import, under another width
+        monkeypatch.setenv("COLUMNS", columns)
+        with pytest.raises(SystemExit) as stop:
+            main(["--help"])
+        assert stop.value.code == 0
+        assert capsys.readouterr().out == HELP
+        with pytest.raises(SystemExit) as stop:
+            main(["statify", "x", "--bogus"])
+        assert stop.value.code == 2
+        assert capsys.readouterr().err == USAGE + "statikit: error: unrecognized arguments: --bogus\n"
+
+    @pytest.mark.parametrize("columns", ["40", "200"])
+    def test_help_of_a_fresh_process(self, columns):
+        proc = subprocess.run(
+            [sys.executable, "-m", "statikit.cli", "--help"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "COLUMNS": columns},
+        )
+        assert (proc.returncode, proc.stdout) == (0, HELP)
