@@ -239,15 +239,20 @@ def reduce_basis(basis, keys):
     `keys` is the run's term-key memo. A minimal basis keeps its leading
     terms under tail reduction, so the marks carry over. The output
     coefficients are Fractions.
+
+    Minimality is one pass in order of the leading exponent's total degree,
+    which puts every divisor first (a term order need not: weight keys are
+    not global); of equal leading terms the earlier element is kept.
     """
-
-    def shadowed(i, lt):
-        return any(
-            j != i and other[1] == lt[1] and _divides(other[0], lt[0]) and (other != lt or j < i)
-            for j, (_, other) in enumerate(basis)
-        )
-
-    minimal = [pair for i, pair in enumerate(basis) if not shadowed(i, pair[1])]
+    kept = {}  # component -> leading exponents kept so far
+    keep = set()
+    for i in sorted(range(len(basis)), key=lambda i: sum(basis[i][1][0])):
+        exp, comp = basis[i][1]
+        lower = kept.setdefault(comp, [])
+        if not any(_divides(e, exp) for e in lower):
+            lower.append(exp)
+            keep.add(i)
+    minimal = [pair for i, pair in enumerate(basis) if i in keep]
     out = []
     for i, (g, lt) in enumerate(minimal):
         r = normal_form(g, minimal[:i] + minimal[i + 1:], keys)

@@ -1,22 +1,14 @@
-"""Exact integer and rational linear algebra on plain tuples.
+"""Exact integer linear algebra on plain tuples.
 
-Everything here works over Python ints and fractions.Fraction; no floats.
+Everything here works over Python ints; no fractions, no floats.
 """
 
-from fractions import Fraction
 from math import gcd
-
-
-def vec_gcd(v):
-    g = 0
-    for x in v:
-        g = gcd(g, abs(x))
-    return g
 
 
 def primitive(v):
     """Divide an integer vector by the gcd of its entries (zero stays zero)."""
-    g = vec_gcd(v)
+    g = gcd(*v)
     if g == 0:
         return tuple(v)
     return tuple(x // g for x in v)
@@ -52,80 +44,50 @@ def lex_positive(v):
     return tuple(v)
 
 
-def _echelon(rows):
-    """Row echelon form over Fraction. Returns (rows, pivot column list)."""
-    m = [[Fraction(x) for x in r] for r in rows]
+def _bareiss(rows):
+    """Fraction-free Gauss-Jordan elimination of an integer matrix (Bareiss 1968).
+
+    Each step divides exactly by the previous pivot (Sylvester's identity),
+    so every entry stays an integer, and once all pivots are found every
+    pivot entry equals the last pivot. Returns the reduced rows, the pivot
+    columns and the sign of the row swaps.
+    """
+    m = list(rows)
     pivots = []
-    r = 0
-    ncols = len(m[0]) if m else 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(m)):
-            if m[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        pr = m[r]
-        inv = Fraction(1) / pr[c]
-        m[r] = [x * inv for x in pr]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
+    sign = 1
+    prev = 1
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
         if r == len(m):
             break
-    return m[:r], pivots
+        p = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if p is None:
+            continue
+        if p != r:
+            m[r], m[p] = m[p], m[r]
+            sign = -sign
+        pr = m[r]
+        piv = pr[c]
+        for i, row in enumerate(m):
+            if i != r:
+                f = row[c]
+                m[i] = [(piv * x - f * y) // prev for x, y in zip(row, pr)]
+        prev = piv
+        pivots.append(c)
+    return m, pivots, sign
 
 
 def rank(rows):
-    """Rank of an integer matrix by fraction-free elimination on primitive rows."""
-    m = [primitive(r) for r in rows]
-    r = 0
-    for c in range(len(m[0]) if m else 0):
-        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        p = m[r]
-        for i in range(r + 1, len(m)):
-            f = m[i][c]
-            if f:
-                m[i] = primitive(tuple(p[c] * x - f * y for x, y in zip(m[i], p)))
-        r += 1
-        if r == len(m):
-            break
-    return r
+    """Rank of an integer matrix."""
+    return len(_bareiss(rows)[1])
 
 
 def det(rows):
-    """Exact determinant of a square integer/rational matrix (Fraction Gaussian elimination)."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    m = [[Fraction(x) for x in r] for r in rows]
-    sign = 1
-    for c in range(n):
-        pivot = None
-        for i in range(c, n):
-            if m[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            sign = -sign
-        for i in range(c + 1, n):
-            f = m[i][c] / m[c][c]
-            m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    out = Fraction(sign)
-    for i in range(n):
-        out *= m[i][i]
-    return out
+    """Exact determinant of a square integer matrix."""
+    m, pivots, sign = _bareiss(rows)
+    if len(pivots) < len(rows):
+        return 0
+    return sign * m[-1][pivots[-1]]
 
 
 def smith_invariant_factors(rows):
@@ -201,17 +163,16 @@ def smith_invariant_factors(rows):
 
 
 def inverse_unimodular(rows):
-    """Exact inverse of a square integer matrix with det = +-1."""
+    """Exact inverse of a square integer matrix with det = +-1.
+
+    Eliminating [A | I] leaves [D*I | D*A^-1] with D = det(A) up to the
+    sign of the row swaps, so the inverse is D times the right-hand block.
+    """
     n = len(rows)
-    aug = [[Fraction(rows[i][j]) for j in range(n)] + [Fraction(1 if k == i else 0) for k in range(n)] for i in range(n)]
-    ech, pivots = _echelon(aug)
+    m, pivots, _ = _bareiss([list(r) + [int(k == i) for k in range(n)] for i, r in enumerate(rows)])
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    inv = []
-    for i in range(n):
-        row = ech[i][n:]
-        for x in row:
-            if x.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-        inv.append(tuple(int(x) for x in row))
-    return inv
+    d = m[-1][n - 1]
+    if d not in (1, -1):
+        raise ValueError("matrix is not unimodular")
+    return [tuple(d * x for x in row[n:]) for row in m]

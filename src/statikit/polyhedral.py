@@ -7,6 +7,7 @@ description method over exact integers; no floating point is used anywhere.
 
 from fractions import Fraction
 from itertools import combinations
+from math import factorial, prod
 
 from .errors import (
     NotPointedError,
@@ -259,42 +260,27 @@ def _cross_section_volume(cone):
     """Exact volume of the slice {sum(x) = 1} of a full-dimensional cone.
 
     Used for coverage checks of fans/stratifications over orthant-embedded
-    supports (all rays have positive coordinate sum there). Computed by
-    recursive stellar triangulation into simplicial cones.
+    supports (all rays have positive coordinate sum there). Computed by a
+    pulling triangulation into simplicial cones: the first ray is coned over
+    the triangulated facets that miss it. The slice of a simplicial cone on
+    rays r_i has volume n |det R| / ((n - 1)! prod sum(r_i)).
     """
     n = cone.ambient_dim
     if cone.dim < n:
         return Fraction(0)
 
-    def simplex_volume(rays):
-        pts = []
-        for r in rays:
-            s = sum(r)
-            if s <= 0:
-                raise UnsupportedSupportError("volume needs rays with positive coordinate sum")
-            pts.append(tuple(Fraction(x, s) for x in r))
-        m = [list(vsub(p, pts[0])) for p in pts[1:]]
-        m.append([Fraction(1)] * n)  # replace the lost dimension by the slice normal
-        d = det(m)
-        fact = 1
-        for i in range(2, n):
-            fact *= i
-        return abs(d) / fact
-
     def triangulate(c):
         if len(c.rays) == c.dim:
             return [c.rays]
         r0 = c.rays[0]
-        pieces = []
-        for f in c.faces():
-            if f.dim == c.dim - 1 and not f.contains(r0):
-                sub = Cone(c.ambient_dim, f.rays + (r0,))
-                pieces.extend(triangulate(sub))
-        return pieces
+        return [s + (r0,) for f in c.faces() if f.dim == c.dim - 1 and r0 not in f.rays for s in triangulate(f)]
 
     total = Fraction(0)
     for rays in triangulate(cone):
-        total += simplex_volume(rays)
+        sums = [sum(r) for r in rays]
+        if min(sums) <= 0:
+            raise UnsupportedSupportError("volume needs rays with positive coordinate sum")
+        total += Fraction(n * abs(det(rays)), factorial(n - 1) * prod(sums))
     return total
 
 

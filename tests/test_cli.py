@@ -12,6 +12,9 @@ from statikit.cli import main
 FIXTURES = Path(__file__).parent / "fixtures"
 ORTHANT = {"ambient_dim": "2", "rays": [["1", "0"], ["0", "1"]]}
 X = [{"coeff": "1", "exp": ["1", "0"]}]
+ORTHANT4 = {"ambient_dim": "4", "rays": [[str(int(i == j)) for j in range(4)] for i in range(4)]}
+# a non-simplicial cone of Z^4 whose pyramids over its first ray are not simplicial
+PYRAMID4 = [["0", "0", "1", "1"], ["0", "1", "0", "0"], ["1", "0", "0", "0"], ["1", "0", "0", "1"], ["1", "2", "0", "2"]]
 # one fixture per subcommand (statify has two), with the schema it must satisfy
 SCHEMA_FIXTURES = [
     ("statify", "example1.json"),
@@ -166,6 +169,14 @@ class TestInputErrors:
                 {
                     "presentation": {"chart": ORTHANT, "matrix": [[X]]},
                     "fan": {"support": ORTHANT, "cones": [{"rays": [["1", "0"], ["1", "1"]]}]},
+                },
+                "fan: fan does not cover its support",
+            ),
+            (
+                "verify-theorem",
+                {
+                    "presentation": {"chart": ORTHANT4, "matrix": [[[{"coeff": "1", "exp": ["1", "0", "0", "0"]}]]]},
+                    "fan": {"support": ORTHANT4, "cones": [{"rays": PYRAMID4}]},
                 },
                 "fan: fan does not cover its support",
             ),
