@@ -3,8 +3,10 @@
 A chart is a full-dimensional smooth pointed cone; its coordinate ring is the
 polynomial ring on the dual basis and every coordinate is a boundary
 variable. Tor against the quotient by a face's complementary variables is
-Koszul homology, decided exactly by lifting to free presentations and testing
-kernel generators for membership in the image.
+decided from one free resolution of the module per presentation: by balance
+of Tor it is the homology of the resolution with those variables set to
+zero. Koszul homology computes the same Tor and is run only on a face where
+it does not vanish, to give the witness.
 """
 
 from dataclasses import dataclass
@@ -67,7 +69,7 @@ def orthant_chart(n):
 class ModulePresentation:
     """Coherent module on a chart, presented as the cokernel of a matrix."""
 
-    __slots__ = ("chart", "rows", "nrows", "ncols")
+    __slots__ = ("chart", "rows", "nrows", "ncols", "_resolution")
 
     def __init__(self, chart, rows):
         self.chart = chart
@@ -93,6 +95,7 @@ class ModulePresentation:
         self.rows = tuple(checked)
         self.nrows = len(self.rows)
         self.ncols = width
+        self._resolution = None
 
     def columns(self):
         """Column vectors of the matrix as rank-nrows dict vectors."""
@@ -101,6 +104,21 @@ class ModulePresentation:
     def kernel(self):
         """Syzygies of the presentation matrix (a Submodule of rank ncols)."""
         return syzygies([list(r) for r in self.rows], self.chart.nvars)
+
+    def resolution(self, length):
+        """The first `length` maps d_1 = A, d_2, ... of a free resolution of coker(A).
+
+        Each map is (columns, rank of its target); d_(i+1) has the syzygy
+        generators of d_i as columns. Built lazily, one `syzygy_generators`
+        call per map, and kept.
+        """
+        if self._resolution is None:
+            self._resolution = [(self.columns(), self.nrows)]
+        maps = self._resolution
+        while len(maps) < length:
+            cols, target = maps[-1]
+            maps.append((syzygy_generators(cols, target, self.chart.nvars), len(cols)))
+        return maps[:length]
 
     def key(self):
         return (self.chart.key(), tuple(tuple(p.key() for p in r) for r in self.rows))
@@ -220,32 +238,60 @@ def koszul_tor(presentation, seq, degree):
     return TorReport(face=face, degree=degree, vanishes=True)
 
 
-def _face_reports(presentation, d):
-    """Tor in degree d+1 against each face, lazily, in canonical face order."""
+def _restrict(col, seq):
+    """The column with the variables of `seq` set to zero."""
+    return {t: c for t, c in col.items() if not any(t[0][v] for v in seq)}
+
+
+def _tor_vanishes(presentation, seq, degree):
+    """Whether Tor_degree(M, R/(x_seq)) vanishes, read off the free resolution.
+
+    It is the homology of the resolution with the variables of `seq` set to
+    zero. R is free over the polynomial ring in the other variables, which
+    is all the restricted maps involve, so kernel and image may be taken
+    over R: each cycle generator is tested against the image's basis.
+    """
+    (cols, target), (next_cols, _) = presentation.resolution(degree + 1)[degree - 1:]
+    n = presentation.chart.nvars
+    cycles = syzygy_generators([_restrict(c, seq) for c in cols], target, n)
+    image = buchberger([_restrict(c, seq) for c in next_cols], base_key)
+    return not any(normal_form(z, image, base_key) for z in cycles)
+
+
+def _face_verdicts(presentation, d):
+    """(face, sequence, vanishes) of Tor in degree d+1, lazily, in canonical face order.
+
+    A degree above the length of the sequence vanishes with no work.
+    """
     if d < 0:
         raise ValueError("log Tor dimension bound must be nonnegative")
     n = presentation.chart.nvars
     for size in range(n + 1):
         for face in combinations(range(n), size):
-            yield koszul_tor(presentation, tuple(v for v in range(n) if v not in face), d + 1)
+            seq = tuple(v for v in range(n) if v not in face)
+            yield face, seq, d + 1 > len(seq) or _tor_vanishes(presentation, seq, d + 1)
 
 
 def log_tor_dim_at_most(presentation, d):
     """Chart criterion: Tor in degree d+1 must vanish against every face.
 
     Returns (holds, reports) where reports has one entry per face subset,
-    in canonical face order.
+    in canonical face order; a failing face's report is Koszul homology's,
+    witness included.
     """
-    reports = list(_face_reports(presentation, d))
+    reports = [
+        TorReport(face=face, degree=d + 1, vanishes=True) if vanishes else koszul_tor(presentation, seq, d + 1)
+        for face, seq, vanishes in _face_verdicts(presentation, d)
+    ]
     return all(rep.vanishes for rep in reports), reports
 
 
 def is_static(presentation):
-    return all(rep.vanishes for rep in _face_reports(presentation, 1))
+    return all(v for _, _, v in _face_verdicts(presentation, 1))
 
 
 def is_log_flat(presentation):
-    return all(rep.vanishes for rep in _face_reports(presentation, 0))
+    return all(v for _, _, v in _face_verdicts(presentation, 0))
 
 
 def is_regular_sequence_on(kernel, seq):

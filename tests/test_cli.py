@@ -86,6 +86,23 @@ class TestExitCodes:
         assert code == 1
         assert json.loads(out)["holds"] is False
 
+    def test_tor_dim_huge_bound_does_no_work(self, capsys, monkeypatch):
+        """A bound above the variable count vanishes on every face, with no
+        resolution built and no Koszul complex."""
+        from statikit import staticity
+
+        def no_work(*args):
+            raise AssertionError("a Tor degree above the variable count needs no computation")
+
+        monkeypatch.setattr(staticity.ModulePresentation, "resolution", no_work)
+        monkeypatch.setattr(staticity, "koszul_tor", no_work)
+        doc = json.loads((FIXTURES / "tordim_divisor_d0.json").read_text())
+        doc["d"] = str(10**6)
+        code, out, _ = run_cli(["tor-dim", json.dumps(doc)], capsys)
+        payload = json.loads(out)
+        assert code == 0 and payload["holds"] is True and payload["d"] == "1000000"
+        assert len(payload["reports"]) == 4 and all(r["vanishes"] for r in payload["reports"])
+
     def test_jacobian_cycle5(self, capsys):
         code, out, _ = run_cli(["jacobian", fixture("cycle5.json")], capsys)
         assert code == 0
@@ -393,9 +410,23 @@ class TestRoundTrips:
         parsed = jsonio.certificate_from_json(obj)
         assert parsed.charts[0].reports == chart.reports
         assert jsonio.dumps(jsonio.certificate_to_json(parsed, "0" * 64)) == out
-        assert parsed.replay()["charts_match"] is True
+        # every bit replays as built; the failing chart rules out the refinement
+        bits = {"kernel_matches": True, "stratification_matches": True, "fan_refines": False, "charts_match": True}
+        assert parsed.replay() == cert.replay() == bits
         failing[0]["witness"]["vector"][0]["coeff"] = "7"
         assert jsonio.certificate_from_json(obj).replay()["charts_match"] is False
+
+    def test_fail_fast_statify_of_a_non_static_input_replays(self, capsys):
+        from statikit import is_static, jsonio
+        from statikit.statify import compute_statification
+
+        pres = jsonio.presentation_from_json(json.loads((FIXTURES / "skyscraper.json").read_text()))
+        assert not is_static(pres)
+        cert = compute_statification(pres, fail_fast=True)
+        assert cert.all_static and all(cert.replay().values())
+        code, out, _ = run_cli(["statify", fixture("skyscraper.json"), "--fail-fast"], capsys)
+        assert code == 0
+        assert all(jsonio.certificate_from_json(json.loads(out)).replay().values())
 
     def test_presentation_roundtrip(self):
         from statikit import jsonio

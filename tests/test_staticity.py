@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from statikit import (
     Cone,
@@ -238,3 +240,48 @@ class TestDimensionShift:
                 up = koszul_tor(m, seq, i + 1).vanishes
                 down = koszul_tor(kernel_presentation, seq, i).vanishes
                 assert up == down
+
+
+@st.composite
+def presentations(draw):
+    """Presentations in 2-3 variables with up to 3 rows and 0-3 columns; some rows are zero."""
+    nvars = draw(st.integers(2, 3))
+    cols = draw(st.integers(0, 3))
+    entry = st.dictionaries(
+        st.tuples(*[st.integers(0, 2)] * nvars), st.sampled_from([1, -1, 2]), max_size=2
+    )
+    zero_row = [{}] * cols
+    rows = draw(st.lists(st.one_of(st.just(zero_row), st.lists(entry, min_size=cols, max_size=cols)), min_size=1, max_size=3))
+    return present(rows, nvars=nvars)
+
+
+class TestResolutionVerdict:
+    """The free-resolution verdict against Koszul homology on every face."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(presentations())
+    @example(present([[], []]))
+    # a zero row over x^2: a resolution built with the source rank as the
+    # ambient rank reads it as log flat
+    @example(present([[{}], [{(2, 0): 1}]]))
+    @example(present([[{(1, 0, 0): 1}, {(0, 1, 0): 1}, {(0, 0, 1): 1}]], nvars=3))
+    @example(present([[{(1, 0): 1}, {(0, 1): 1}], [{}, {}]]))
+    def test_verdicts_and_reports_match_koszul(self, m):
+        from statikit.staticity import _face_verdicts
+
+        for d in range(3):
+            verdicts = list(_face_verdicts(m, d))
+            koszul = [koszul_tor(m, seq, d + 1) for _, seq, _ in verdicts]
+            assert [v for _, _, v in verdicts] == [rep.vanishes for rep in koszul]
+            assert log_tor_dim_at_most(m, d)[1] == koszul
+        assert is_static(m) == log_tor_dim_at_most(m, 1)[0]
+        assert is_log_flat(m) == log_tor_dim_at_most(m, 0)[0]
+
+    def test_resolution_is_built_once_to_the_length_asked(self):
+        m = present([[{(1, 0): 1}, {(0, 1): 1}]])
+        first = m.resolution(2)
+        maps = m.resolution(3)
+        assert len(first) == 2 and len(maps) == 3
+        assert all(a is b for a, b in zip(first, maps))
+        assert maps[0] == (m.columns(), 1)
+        assert len(maps[1][0]) == 1 and maps[1][1] == 2
