@@ -629,50 +629,54 @@ class GroebnerStratification:
         return f"GroebnerStratification(cells={len(self.cells)}, strata={len(self.strata())})"
 
 
+def _glue(ambient_dim, ci, cj):
+    """(wall, union) when two cells meet in a common facet and their union is
+    convex with that facet as its wall; otherwise None. The rays of a common
+    face are rays of both."""
+    if len(set(ci.rays) & set(cj.rays)) < ci.dim - 1:
+        return None
+    w = ci.intersection(cj)
+    if w.dim != ci.dim - 1 or w not in ci.faces() or w not in cj.faces():
+        return None
+    h = next((a for a in ci.facet_normals if all(dot(a, r) == 0 for r in w.rays)), None)
+    if h is None:
+        return None
+    union = Cone(ambient_dim, ci.rays + cj.rays)
+    if union.dim != ci.dim or not (ci.contains_cone(union.cut([h])) and cj.contains_cone(union.cut([vneg(h)]))):
+        return None
+    return w, union
+
+
 def _merge_cells(ambient_dim, cells):
-    """Greedy convex merging of equal-tag cells glued along equal-tag walls."""
-    cells = sorted(cells, key=lambda ct: ct[0].key())
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(cells)):
-            ci, ti = cells[i]
-            merged_done = False
-            for j in range(i + 1, len(cells)):
-                cj, tj = cells[j]
-                if ci.dim != cj.dim:
-                    continue
-                if _tag_key(ti) != _tag_key(tj):
-                    continue
-                w = ci.intersection(cj)
-                if w.dim != ci.dim - 1:
-                    continue
-                face_keys_i = {f.key() for f in ci.faces()}
-                face_keys_j = {f.key() for f in cj.faces()}
-                if w.key() not in face_keys_i or w.key() not in face_keys_j:
-                    continue
-                wall = next(((c, t) for c, t in cells if c.key() == w.key()), None)
-                if wall is None or _tag_key(wall[1]) != _tag_key(ti):
-                    continue
-                h = next((a for a in ci.facet_normals if all(dot(a, r) == 0 for r in w.rays)), None)
-                if h is None:
-                    continue
-                union = Cone(ambient_dim, ci.rays + cj.rays)
-                if union.dim != ci.dim:
-                    continue
-                plus = union.cut([h])
-                minus = union.cut([vneg(h)])
-                if not (ci.contains_cone(plus) and cj.contains_cone(minus)):
-                    continue
-                new_cells = [ct for k, ct in enumerate(cells) if k not in (i, j) and ct[0].key() != w.key()]
-                new_cells.append((union, ti))
-                cells = sorted(new_cells, key=lambda ct: ct[0].key())
-                changed = True
-                merged_done = True
-                break
-            if merged_done:
-                break
-    return cells
+    """Greedy convex merging of equal-tag cells glued along equal-tag walls.
+
+    Pairs are scanned in order of their sorted cell keys, and the first that
+    glues merges. Whether two cells glue depends on them alone, so each pair
+    is tested once; the wall is looked up every time, as a merge can remove it.
+    """
+    tag_ids = {}
+    cells = [(c, t, (c.dim, tag_ids.setdefault(_tag_key(t), len(tag_ids)))) for c, t in sorted(cells, key=lambda ct: ct[0].key())]
+    glued = {}
+    while True:
+        peers = {}  # the positions of the cells of each dimension and tag
+        for k, (_, _, group) in enumerate(cells):
+            peers.setdefault(group, []).append(k)
+        for i, j in ((i, j) for i, (_, _, group) in enumerate(cells) for j in peers[group] if j > i):
+            (ci, ti, group), cj = cells[i], cells[j][0]
+            pair = (ci.key(), cj.key())
+            if pair not in glued:
+                glued[pair] = _glue(ambient_dim, ci, cj)
+            if glued[pair] is None:
+                continue
+            w, union = glued[pair]
+            wall = next((g for c, _, g in cells if c.key() == w.key()), None)
+            if wall is None or wall[1] != group[1]:
+                continue
+            cells = [cell for k, cell in enumerate(cells) if k not in (i, j) and cell[0].key() != w.key()]
+            cells = sorted(cells + [(union, ti, group)], key=lambda cell: cell[0].key())
+            break
+        else:
+            return [(c, t) for c, t, _ in cells]
 
 
 def groebner_stratification(module, support):

@@ -205,20 +205,27 @@ class Cone:
         """All faces, including {0} and the cone itself, in canonical order.
 
         Every face of a pointed cone is the intersection of the facets
-        containing it, so faces are enumerated over facet subsets. The rays
-        of the cone on a face are the extreme rays of that face.
+        containing it, so the ray sets of the faces are the closure of the
+        full ray set under intersection with each facet's ray set (Kaibel and
+        Pfetsch, "Computing the face lattice of a polytope from its
+        vertex-facet incidences"). The rays of the cone on a face are the
+        extreme rays of that face.
         """
         if not self.is_pointed():
             raise NotPointedError("face enumeration requires a pointed cone")
         if self._faces is None:
-            out = {}
-            normals = self.facet_normals
-            for size in range(len(normals) + 1):
-                for subset in combinations(normals, size):
-                    face_rays = tuple(r for r in self.rays if all(dot(a, r) == 0 for a in subset))
-                    if face_rays not in out:
-                        out[face_rays] = Cone._of_extreme_rays(self.ambient_dim, face_rays)
-            self._faces = tuple(out[k] for k in sorted(out))
+            facets = [frozenset(r for r in self.rays if dot(a, r) == 0) for a in self.facet_normals]
+            found = {frozenset(self.rays)}
+            todo = list(found)
+            while todo:
+                face = todo.pop()
+                for facet in facets:
+                    meet = face & facet
+                    if meet not in found:
+                        found.add(meet)
+                        todo.append(meet)
+            keys = sorted(tuple(r for r in self.rays if r in face) for face in found)
+            self._faces = tuple(Cone._of_extreme_rays(self.ambient_dim, k) for k in keys)
         return self._faces
 
     def cut(self, normals):
@@ -229,7 +236,7 @@ class Cone:
         lin, rays = double_description(self.ambient_dim, list(normals) + list(self.inequalities))
         if lin:
             raise NotPointedError("a cut of a cone must be pointed")
-        return Cone(self.ambient_dim, rays)
+        return Cone._of_extreme_rays(self.ambient_dim, rays)
 
     def intersection(self, other):
         if self.ambient_dim != other.ambient_dim:
@@ -306,10 +313,11 @@ class Fan:
         if not closed:
             closed[()] = Cone(self.ambient_dim, [])
         self.cones = tuple(closed[k] for k in sorted(closed))
-        for c in self.cones:
+        self.max_cones = tuple(c for c in self.cones if c.rays not in proper)
+        # every cone is a face of a maximal one
+        for c in self.max_cones:
             if not self.support.contains_cone(c):
                 raise ValueError("fan cone outside the declared support")
-        self.max_cones = tuple(c for c in self.cones if c.rays not in proper)
 
     @property
     def ray_set(self):
@@ -341,10 +349,6 @@ class Fan:
     def validate(self):
         """Re-check all fan invariants exactly; raises ValueError on failure."""
         keys = {c.key() for c in self.cones}
-        for c in self.cones:
-            for f in c.faces():
-                if f.key() not in keys:
-                    raise ValueError("fan is not closed under faces")
         for a, b in combinations(self.cones, 2):
             w = a.intersection(b)
             if w.key() not in keys:
@@ -408,43 +412,28 @@ class PLStratification:
             if not self.support.contains_cone(c):
                 raise ValueError("cell outside the support")
         covered = {c.key() for c, _ in cells}
-        missing = []
-        for c, _ in list(cells):
+        if len(covered) != len(cells):
+            raise ValueError("duplicate cell cone")
+        missing = {}
+        for c, _ in cells:
             for f in c.faces():
-                if f.key() in covered:
-                    continue
-                p = f.interior_point()
-                hit = [cc for cc, _ in cells if cc.relint_contains(p)]
-                if hit:
-                    if not hit[0].contains_cone(f):
-                        raise ValueError("cell boundaries cross; supply an explicit partition")
-                    continue
-                if f.key() not in {m.key() for m in missing}:
-                    missing.append(f)
+                if f.key() not in covered and not any(cc.relint_contains(f.interior_point()) for cc, _ in cells):
+                    missing[f.key()] = f
         if missing:
-            tag_keys = {_tag_key(t) for _, t in cells}
-            if len(tag_keys) == 1:
-                the_tag = cells[0][1]
-                cells = cells + [(f, the_tag) for f in missing]
-            else:
+            if len({_tag_key(t) for _, t in cells}) != 1:
                 raise ValueError(
                     "stratification does not cover the support and tags are "
                     "not uniform; supply the missing cells explicitly"
                 )
-        # pairwise relint disjointness: relints meet iff the interior point
-        # of the intersection lies in both relints
-        for (c1, _), (c2, _) in combinations(cells, 2):
-            if c1.key() == c2.key():
-                raise ValueError("duplicate cell cone")
-            p = c1.intersection(c2).interior_point()
-            if c1.relint_contains(p) and c2.relint_contains(p):
-                raise ValueError("cell interiors overlap")
-        # full-dimensional coverage is exact iff slice volumes agree
-        if self.support.dim == self.ambient_dim:
-            full = [c for c, _ in cells if c.dim == self.ambient_dim]
-            vol = sum((_cross_section_volume(c) for c in full), Fraction(0))
-            if vol != _cross_section_volume(self.support):
-                raise ValueError("cells do not cover the support")
+            cells = cells + [(f, cells[0][1]) for f in missing.values()]
+        # the relative interior of each cone of the support cut by every
+        # cell's hyperplanes lies inside or outside each cell's, so its
+        # interior point decides the partition
+        normals = {lex_positive(h) for c, _ in cells for h in c.facet_normals + c.span_normals}
+        for k in _arrangement_fan(self.support, sorted(normals)).cones:
+            hits = sum(c.relint_contains(k.interior_point()) for c, _ in cells)
+            if hits != 1:
+                raise ValueError("cell interiors overlap" if hits else "cells do not cover the support")
         return cells
 
     def cell_containing(self, point):
@@ -519,50 +508,48 @@ def common_refinement(a, b):
     return Fan(a.support, pieces)
 
 
-def hilbert_basis(cone):
-    """Hilbert basis of a pointed cone contained in the nonnegative orthant.
+def _hilbert_points(cone):
+    """The Hilbert basis of a pointed cone in the orthant, by (coordinate sum, lex).
 
-    Enumerates lattice points of the generator zonotope and keeps the
-    irreducible ones. Orthant containment bounds candidates coordinatewise.
+    Walks the lattice points of the box [0, sum of the rays], which holds the
+    generator zonotope, in that order. A cone point p is irreducible when no
+    basis element h <= p found so far leaves p - h in the cone: a proper
+    summand has a smaller coordinate sum, so it has already been walked.
     """
     if not cone.is_pointed():
         raise NotPointedError("Hilbert basis requires a pointed cone")
     if any(any(x < 0 for x in r) for r in cone.rays):
         raise UnsupportedSupportError("Hilbert basis computed only inside the orthant")
-    if not cone.rays:
-        return ()
     n = cone.ambient_dim
     box = [sum(r[i] for r in cone.rays) for i in range(n)]
+    room = [sum(box[i:]) for i in range(n)] + [0]
 
-    points = []
-
-    def walk(i, current):
-        if i == n:
-            p = tuple(current)
-            if not is_zero(p) and cone.contains(p):
-                points.append(p)
+    def points(i, s):
+        # the points of coordinates i.. summing to s, lex ascending
+        if i == n - 1:
+            yield (s,)
             return
-        for v in range(box[i] + 1):
-            current.append(v)
-            walk(i + 1, current)
-            current.pop()
+        for v in range(max(0, s - room[i + 1]), min(box[i], s) + 1):
+            for tail in points(i + 1, s - v):
+                yield (v,) + tail
 
-    walk(0, [])
-    point_set = set(points)
     basis = []
-    for p in sorted(points, key=lambda q: (sum(q), q)):
-        reducible = False
-        for q in point_set:
-            if q == p:
-                continue
-            diff = vsub(p, q)
-            if all(x >= 0 for x in diff) and (is_zero(diff) or diff in point_set or cone.contains(diff)):
-                if not is_zero(diff):
-                    reducible = True
-                    break
-        if not reducible:
-            basis.append(p)
-    return tuple(sorted(basis))
+    for s in range(1, room[0] + 1):
+        for p in points(0, s):
+            if cone.contains(p) and not any(
+                all(a <= b for a, b in zip(h, p)) and cone.contains(vsub(p, h)) for h in basis
+            ):
+                basis.append(p)
+                yield p
+
+
+def hilbert_basis(cone):
+    """Hilbert basis of a pointed cone contained in the nonnegative orthant.
+
+    The irreducible lattice points of the cone, found by one walk over the
+    box the generators span, in order of coordinate sum; returned sorted.
+    """
+    return tuple(sorted(_hilbert_points(cone)))
 
 
 def _arrangement_fan(support, hyperplane_normals):
@@ -614,9 +601,8 @@ def stratification_to_smooth_fan(stratification):
         if bad is None:
             return fan
         existing = fan.ray_set
-        new_points = [h for h in hilbert_basis(bad) if h not in existing]
-        if new_points:
-            pick = min(new_points, key=lambda p: (sum(p), p))
+        pick = next((h for h in _hilbert_points(bad) if h not in existing), None)
+        if pick is not None:
             fan = star_subdivision(fan, pick)
             continue
         # non-simplicial cone generated by its own Hilbert basis: triangulate.

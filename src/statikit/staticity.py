@@ -23,7 +23,6 @@ from .groebner import (
     matrix_columns,
     normal_form,
     syzygy_generators,
-    syzygies,
 )
 from .polyhedral import Cone
 
@@ -102,8 +101,10 @@ class ModulePresentation:
         return matrix_columns(self.rows)
 
     def kernel(self):
-        """Syzygies of the presentation matrix (a Submodule of rank ncols)."""
-        return syzygies([list(r) for r in self.rows], self.chart.nvars)
+        """Syzygies of the presentation matrix (a Submodule of rank ncols): the columns of d_2."""
+        n = self.chart.nvars
+        cols, _ = self.resolution(2)[1]
+        return Submodule(n, self.ncols, [ModuleVector(n, self.ncols, s) for s in cols])
 
     def resolution(self, length):
         """The first `length` maps d_1 = A, d_2, ... of a free resolution of coker(A).

@@ -64,8 +64,14 @@ class ToricModification:
 
 
 def pullback_presentation(presentation, modification, cone):
-    """Substitute chart monomials into the presentation matrix."""
+    """Substitute chart monomials into the presentation matrix.
+
+    An identity substitution returns the presentation itself, with the
+    resolution it has already built.
+    """
     chart, e = modification.chart_for(cone)
+    if e == [tuple(int(i == j) for j in range(chart.nvars)) for i in range(chart.nvars)]:
+        return presentation
     rows = []
     for row in presentation.rows:
         rows.append([p.substitute_monomials(e, chart.nvars) for p in row])

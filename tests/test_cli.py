@@ -15,6 +15,9 @@ X = [{"coeff": "1", "exp": ["1", "0"]}]
 ORTHANT4 = {"ambient_dim": "4", "rays": [[str(int(i == j)) for j in range(4)] for i in range(4)]}
 # a non-simplicial cone of Z^4 whose pyramids over its first ray are not simplicial
 PYRAMID4 = [["0", "0", "1", "1"], ["0", "1", "0", "0"], ["1", "0", "0", "0"], ["1", "0", "0", "1"], ["1", "2", "0", "2"]]
+ORTHANT3 = {"ambient_dim": "3", "rays": [[str(int(i == j)) for j in range(3)] for i in range(3)]}
+# a cone over an 18-gon: 2^18 subsets of its facets, 38 faces
+POLYGON18 = [[str(i), str(i * i), "400"] for i in range(1, 19)]
 # one fixture per subcommand (statify has two), with the schema it must satisfy
 SCHEMA_FIXTURES = [
     ("statify", "example1.json"),
@@ -194,6 +197,14 @@ class TestInputErrors:
                 {
                     "presentation": {"chart": ORTHANT4, "matrix": [[[{"coeff": "1", "exp": ["1", "0", "0", "0"]}]]]},
                     "fan": {"support": ORTHANT4, "cones": [{"rays": PYRAMID4}]},
+                },
+                "fan: fan does not cover its support",
+            ),
+            (
+                "verify-theorem",
+                {
+                    "presentation": {"chart": ORTHANT3, "matrix": [[[{"coeff": "1", "exp": ["1", "0", "0"]}]]]},
+                    "fan": {"support": ORTHANT3, "cones": [{"rays": POLYGON18}]},
                 },
                 "fan: fan does not cover its support",
             ),

@@ -1,6 +1,8 @@
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
@@ -8,7 +10,9 @@ import sympy
 from statikit import (
     Cone,
     Fan,
+    ModulePresentation,
     ModuleVector,
+    PLStratification,
     Poly,
     Submodule,
     UnsupportedSupportError,
@@ -18,10 +22,13 @@ from statikit import (
     initial_form,
     initial_module,
     module_membership,
+    orthant,
+    orthant_chart,
     reduced_gb,
     star_subdivision,
     syzygies,
 )
+from statikit.jsonio import presentation_from_json
 from statikit import groebner
 from statikit.groebner import _divides, _homogenize, base_key, elim_key, leading_term, vec_axpy, weight_key
 from conftest import apply_matrix_to_vector
@@ -563,3 +570,45 @@ class TestStratification:
         a = groebner_stratification(shifted, quadrant)
         b = groebner_stratification(plain, quadrant)
         assert [c.key() for c, _ in a.cells] == [c.key() for c, _ in b.cells]
+
+
+def random_kernel(rng, nvars):
+    """The syzygies of a random matrix of up to 2 x 3 entries with exponents
+    0-2, up to 3 terms an entry in 2 variables and up to 2 in 3."""
+    most = 3 if nvars == 2 else 2
+
+    def entry():
+        return Poly(nvars, {tuple(rng.randint(0, 2) for _ in range(nvars)): rng.choice([1, -1, 2]) for _ in range(rng.randint(1, most))})
+
+    cols = rng.randint(1, 3)
+    rows = [[entry() for _ in range(cols)] for _ in range(rng.randint(1, 2))]
+    return ModulePresentation(orthant_chart(nvars), rows).kernel()
+
+
+class TestStratificationPointwise:
+    """Each cell's tag is the initial module at positive integer combinations
+    of the cell's rays, and the cells, checked again without `_validated`,
+    partition the support."""
+
+    @staticmethod
+    def check(module, support, rng, samples=3):
+        strat = groebner_stratification(module, support)
+        rebuilt = PLStratification(support, list(strat.cells))
+        assert rebuilt.key() == strat.stratification.key()
+        n = support.ambient_dim
+        for cone, tag in strat.cells:
+            for _ in range(samples if cone.rays else 1):
+                coeffs = [rng.randint(1, 4) for _ in cone.rays]
+                w = tuple(sum(c * r[i] for c, r in zip(coeffs, cone.rays)) for i in range(n))
+                assert initial_module(module, w) == tag, (cone, w)
+        return len(strat.cells)
+
+    def test_random_kernels(self):
+        rng = random.Random(0)
+        cells = [self.check(random_kernel(rng, nvars), orthant(nvars), rng) for nvars in [2] * 20 + [3] * 19]
+        assert sum(c > 1 for c in cells) >= 20
+
+    def test_example_2_kernel(self):
+        doc = json.loads((Path(__file__).parent / "fixtures" / "example2.json").read_text())
+        p = presentation_from_json(doc)
+        assert self.check(p.kernel(), p.chart.cone, random.Random(2)) == 20

@@ -1,4 +1,6 @@
 import random
+from itertools import combinations
+from math import prod
 
 import pytest
 
@@ -11,6 +13,7 @@ from statikit import (
     Poly,
     RayOutsideSupportError,
     SupportMismatchError,
+    UnsupportedSupportError,
     common_refinement,
     fan_refines,
     groebner_stratification,
@@ -20,11 +23,59 @@ from statikit import (
     star_subdivision,
     stratification_to_smooth_fan,
 )
+from statikit.polyhedral import _hilbert_points
 from conftest import oracle_cone_contains, oracle_faces_count
 
 
 def rays_of(c):
     return sorted(list(r) for r in c.rays)
+
+
+def subset_faces(cone):
+    """Face ray sets in canonical order, from every subset of the facets."""
+    out = set()
+    for size in range(len(cone.facet_normals) + 1):
+        for subset in combinations(cone.facet_normals, size):
+            out.add(tuple(r for r in cone.rays if all(sum(a * b for a, b in zip(f, r)) == 0 for f in subset)))
+    return sorted(out)
+
+
+def zonotope_hilbert_basis(cone):
+    """Every cone point of the box [0, sum of the rays], less the sums of two."""
+    n = cone.ambient_dim
+    box = [sum(r[i] for r in cone.rays) for i in range(n)]
+    points = []
+
+    def walk(i, current):
+        if i == n:
+            p = tuple(current)
+            if any(p) and cone.contains(p):
+                points.append(p)
+            return
+        for v in range(box[i] + 1):
+            walk(i + 1, current + [v])
+
+    walk(0, [])
+    point_set = set(points)
+    basis = []
+    for p in points:
+        diffs = (tuple(a - b for a, b in zip(p, q)) for q in point_set if q != p)
+        if not any(all(x >= 0 for x in d) and (d in point_set or cone.contains(d)) for d in diffs):
+            basis.append(p)
+    return tuple(sorted(basis))
+
+
+def random_pointed_cones(rng, count, lo, hi):
+    """Seeded random pointed cones in dimensions 2-4 with at least one ray,
+    entries in lo..hi."""
+    cones = []
+    while len(cones) < count:
+        dim = rng.choice((2, 3, 4))
+        rays = [tuple(rng.randint(lo, hi) for _ in range(dim)) for _ in range(rng.randint(1, dim + 3))]
+        c = Cone(dim, rays)
+        if c.rays and c.is_pointed():
+            cones.append(c)
+    return cones
 
 
 class TestFaces:
@@ -51,6 +102,22 @@ class TestFaces:
         ]
         for c in cones:
             assert len(c.faces()) == oracle_faces_count(c)
+
+    def test_faces_match_facet_subset_enumeration(self):
+        """The incidence closure gives the faces, in the same order, that
+        intersecting every subset of the facets gives."""
+        cones = random_pointed_cones(random.Random(27), 320, -3, 3)
+        assert {c.ambient_dim for c in cones} == {2, 3, 4}
+        assert max(len(c.facet_normals) for c in cones) >= 6
+        for c in cones:
+            assert [f.rays for f in c.faces()] == subset_faces(c), c
+
+    def test_many_facets(self):
+        """A cone over a 40-gon: 82 faces, found without a subset search."""
+        c = Cone(3, [(i, i * i, 400) for i in range(1, 41)])
+        faces = c.faces()
+        assert len(faces) == 82
+        assert [len(f.rays) for f in faces].count(2) == 40
 
     def test_not_pointed_rejected(self):
         c = Cone(2, [(1, 0), (-1, 0)])
@@ -343,6 +410,33 @@ class TestHilbertBasis:
         c = Cone(2, [(1, 0), (1, 2)])
         assert hilbert_basis(c) == ((1, 0), (1, 1), (1, 2))
 
+    def test_walk_matches_zonotope_enumeration(self):
+        """Basis and smoothing pick (the least (sum, lex) basis element not
+        yet a ray) against the irreducibility test over the whole box."""
+        rng = random.Random(8)
+        def box_points(c):
+            return prod(1 + sum(r[i] for r in c.rays) for i in range(c.ambient_dim))
+
+        cones = [c for c in random_pointed_cones(rng, 400, 0, 3) if box_points(c) <= 600][:150]
+        assert {c.ambient_dim for c in cones} == {2, 3, 4}
+        picked = 0
+        for c in cones:
+            basis = zonotope_hilbert_basis(c)
+            assert hilbert_basis(c) == basis, c
+            walked = list(_hilbert_points(c))
+            assert walked == sorted(basis, key=lambda p: (sum(p), p))
+            existing = set(c.rays) | set(rng.sample(basis, rng.randint(0, len(basis))))
+            pick = min((h for h in basis if h not in existing), key=lambda p: (sum(p), p), default=None)
+            assert next((h for h in _hilbert_points(c) if h not in existing), None) == pick
+            picked += pick is not None
+        assert picked > 30
+
+    def test_rejects_cones_outside_the_orthant(self):
+        with pytest.raises(UnsupportedSupportError):
+            hilbert_basis(Cone(2, [(1, 0), (-1, 2)]))
+        with pytest.raises(NotPointedError):
+            hilbert_basis(Cone(2, [(1, 0), (-1, 0)]))
+
 
 class TestStratificationValidation:
     def test_overlapping_cells_rejected(self, quadrant):
@@ -362,6 +456,25 @@ class TestStratificationValidation:
         with pytest.raises(ValueError):
             PLStratification(quadrant, cells)
 
+    @staticmethod
+    def _split_wall_cells():
+        """The octant halved by x = y, its wall cut in two at (1, 1, 1)."""
+        e1, e2, e3, d, m = (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 1, 1)
+        cones = [[e1, d, e3], [e2, d, e3], [d, m], [m, e3], [m], [e1, d], [e1, e3], [e2, d], [e2, e3], [e1], [e2], [e3], [d], []]
+        return [(Cone(3, rays), f"c{i}") for i, rays in enumerate(cones)]
+
+    def test_face_tiled_by_smaller_cells_accepted(self, octant):
+        cells = self._split_wall_cells()
+        assert len(PLStratification(octant, cells).cells) == len(cells)
+
+    def test_gap_in_a_tiled_face_rejected(self, octant):
+        cells = self._split_wall_cells()
+        for drop in (2, 4):
+            with pytest.raises(ValueError, match="not cover the support"):
+                PLStratification(octant, cells[:drop] + cells[drop + 1:])
+        with pytest.raises(ValueError, match="cell interiors overlap"):
+            PLStratification(octant, cells + [(Cone(3, [(1, 1, 0), (0, 0, 1)]), "wall")])
+
 
 class TestVolumes:
     def test_fan_coverage_detects_gap(self, quadrant):
@@ -371,6 +484,14 @@ class TestVolumes:
 
 
 class TestDualDescriptionConsistency:
+    def test_cut_keeps_extreme_rays(self):
+        """The rays double description gives a cut are the ones `Cone` keeps."""
+        rng = random.Random(55)
+        for c in random_pointed_cones(rng, 150, -2, 3):
+            normals = [tuple(rng.randint(-2, 2) for _ in range(c.ambient_dim)) for _ in range(rng.randint(1, 3))]
+            cut = c.cut(normals)
+            assert cut.rays == Cone(c.ambient_dim, cut.rays).rays, (c, normals)
+
     def test_randomized_cones_roundtrip(self):
         rng = random.Random(1234)
         for trial in range(60):
