@@ -49,12 +49,11 @@ def _bareiss(rows):
 
     Each step divides exactly by the previous pivot (Sylvester's identity),
     so every entry stays an integer, and once all pivots are found every
-    pivot entry equals the last pivot. Returns the reduced rows, the pivot
-    columns and the sign of the row swaps.
+    pivot entry equals the last pivot. Returns the reduced rows and the
+    pivot columns.
     """
     m = list(rows)
     pivots = []
-    sign = 1
     prev = 1
     for c in range(len(m[0]) if m else 0):
         r = len(pivots)
@@ -65,7 +64,6 @@ def _bareiss(rows):
             continue
         if p != r:
             m[r], m[p] = m[p], m[r]
-            sign = -sign
         pr = m[r]
         piv = pr[c]
         for i, row in enumerate(m):
@@ -74,20 +72,12 @@ def _bareiss(rows):
                 m[i] = [(piv * x - f * y) // prev for x, y in zip(row, pr)]
         prev = piv
         pivots.append(c)
-    return m, pivots, sign
+    return m, pivots
 
 
 def rank(rows):
     """Rank of an integer matrix."""
     return len(_bareiss(rows)[1])
-
-
-def det(rows):
-    """Exact determinant of a square integer matrix."""
-    m, pivots, sign = _bareiss(rows)
-    if len(pivots) < len(rows):
-        return 0
-    return sign * m[-1][pivots[-1]]
 
 
 def smith_invariant_factors(rows):
@@ -165,11 +155,11 @@ def smith_invariant_factors(rows):
 def inverse_unimodular(rows):
     """Exact inverse of a square integer matrix with det = +-1.
 
-    Eliminating [A | I] leaves [D*I | D*A^-1] with D = det(A) up to the
-    sign of the row swaps, so the inverse is D times the right-hand block.
+    Eliminating [A | I] leaves [D*I | D*A^-1] with D = +-det(A), so the
+    inverse is D times the right-hand block.
     """
     n = len(rows)
-    m, pivots, _ = _bareiss([list(r) + [int(k == i) for k in range(n)] for i, r in enumerate(rows)])
+    m, pivots = _bareiss([list(r) + [int(k == i) for k in range(n)] for i, r in enumerate(rows)])
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
     d = m[-1][n - 1]

@@ -5,10 +5,6 @@ lattice Z^n. Dual (inequality) descriptions are computed with the double
 description method over exact integers; no floating point is used anywhere.
 """
 
-from fractions import Fraction
-from itertools import combinations
-from math import factorial, prod
-
 from .errors import (
     NotPointedError,
     RayOutsideSupportError,
@@ -16,7 +12,6 @@ from .errors import (
     UnsupportedSupportError,
 )
 from .linalg import (
-    det,
     dot,
     is_zero,
     lex_positive,
@@ -263,34 +258,6 @@ def orthant(n):
     return Cone(n, [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)])
 
 
-def _cross_section_volume(cone):
-    """Exact volume of the slice {sum(x) = 1} of a full-dimensional cone.
-
-    Used for coverage checks of fans/stratifications over orthant-embedded
-    supports (all rays have positive coordinate sum there). Computed by a
-    pulling triangulation into simplicial cones: the first ray is coned over
-    the triangulated facets that miss it. The slice of a simplicial cone on
-    rays r_i has volume n |det R| / ((n - 1)! prod sum(r_i)).
-    """
-    n = cone.ambient_dim
-    if cone.dim < n:
-        return Fraction(0)
-
-    def triangulate(c):
-        if len(c.rays) == c.dim:
-            return [c.rays]
-        r0 = c.rays[0]
-        return [s + (r0,) for f in c.faces() if f.dim == c.dim - 1 and r0 not in f.rays for s in triangulate(f)]
-
-    total = Fraction(0)
-    for rays in triangulate(cone):
-        sums = [sum(r) for r in rays]
-        if min(sums) <= 0:
-            raise UnsupportedSupportError("volume needs rays with positive coordinate sum")
-        total += Fraction(n * abs(det(rays)), factorial(n - 1) * prod(sums))
-    return total
-
-
 class Fan:
     """A finite fan: cones closed under faces with pairwise face intersections."""
 
@@ -347,19 +314,18 @@ class Fan:
         return PLStratification(self.support, cells, _validated=True)
 
     def validate(self):
-        """Re-check all fan invariants exactly; raises ValueError on failure."""
-        keys = {c.key() for c in self.cones}
-        for a, b in combinations(self.cones, 2):
-            w = a.intersection(b)
-            if w.key() not in keys:
-                raise ValueError("intersection of fan cones is not in the fan")
-            if w.key() not in {f.key() for f in a.faces()} or w.key() not in {f.key() for f in b.faces()}:
-                raise ValueError("intersection of fan cones is not a common face")
-        full = [c for c in self.cones if c.dim == self.support.dim]
-        if self.support.dim == self.ambient_dim:
-            vol = sum((_cross_section_volume(c) for c in full), Fraction(0))
-            if vol != _cross_section_volume(self.support):
-                raise ValueError("fan does not cover its support")
+        """Re-check the fan exactly; raises ValueError on failure.
+
+        A set of cones closed under faces is a fan exactly when the relative
+        interiors of its cones are pairwise disjoint (De Loera, Rambau and
+        Santos, "Triangulations", 2.1): a point of relint(a & b) lies in the
+        relative interior of one face of a and one face of b, which are then
+        equal and contain a & b. So the fan is checked as a partition of its
+        support, like a stratification.
+        """
+        hits = _partition_misfit(self.support, self.cones)
+        if hits is not None:
+            raise ValueError("intersection of fan cones is not a common face" if hits else "fan does not cover its support")
         return True
 
 
@@ -426,14 +392,9 @@ class PLStratification:
                     "not uniform; supply the missing cells explicitly"
                 )
             cells = cells + [(f, cells[0][1]) for f in missing.values()]
-        # the relative interior of each cone of the support cut by every
-        # cell's hyperplanes lies inside or outside each cell's, so its
-        # interior point decides the partition
-        normals = {lex_positive(h) for c, _ in cells for h in c.facet_normals + c.span_normals}
-        for k in _arrangement_fan(self.support, sorted(normals)).cones:
-            hits = sum(c.relint_contains(k.interior_point()) for c, _ in cells)
-            if hits != 1:
-                raise ValueError("cell interiors overlap" if hits else "cells do not cover the support")
+        hits = _partition_misfit(self.support, [c for c, _ in cells])
+        if hits is not None:
+            raise ValueError("cell interiors overlap" if hits else "cells do not cover the support")
         return cells
 
     def cell_containing(self, point):
@@ -568,6 +529,26 @@ def _arrangement_fan(support, hyperplane_normals):
     return Fan(support, pieces)
 
 
+def _cell_arrangement(support, cones):
+    """The support cut by every facet and span hyperplane of the cones."""
+    return _arrangement_fan(support, sorted({lex_positive(h) for c in cones for h in c.facet_normals + c.span_normals}))
+
+
+def _partition_misfit(support, cones):
+    """None if the relative interiors of the cones partition the support.
+
+    The relative interior of each cone of their arrangement lies inside or
+    outside each cone's, so its interior point decides it. Otherwise returns
+    how many cones (0, or 2 and more) hold that point for the first
+    arrangement cone not held by exactly one.
+    """
+    for k in _cell_arrangement(support, cones).cones:
+        hits = sum(c.relint_contains(k.interior_point()) for c in cones)
+        if hits != 1:
+            return hits
+    return None
+
+
 def stratification_to_smooth_fan(stratification):
     """A smooth fan on the support refining the stratification.
 
@@ -584,11 +565,7 @@ def stratification_to_smooth_fan(stratification):
     closures = [c for c, _ in stratification.cells]
     fan = Fan(support, closures)
     if len(fan.cones) != len(closures):
-        normals = set()
-        for c in closures:
-            for h in c.facet_normals + c.span_normals:
-                normals.add(lex_positive(h))
-        fan = _arrangement_fan(support, sorted(normals))
+        fan = _cell_arrangement(support, closures)
         if not refines(fan, stratification):
             raise ValueError("arrangement fan fails to refine the stratification")
 

@@ -208,6 +208,14 @@ class TestInputErrors:
                 },
                 "fan: fan does not cover its support",
             ),
+            (
+                "verify-theorem",
+                {
+                    "presentation": {"chart": ORTHANT, "matrix": [[X]]},
+                    "fan": {"support": ORTHANT, "cones": [{"rays": [["1", "0"], ["1", "2"]]}, {"rays": [["2", "1"], ["0", "1"]]}]},
+                },
+                "fan: intersection of fan cones is not a common face",
+            ),
         ],
     )
     def test_schema_valid_but_malformed_is_exit_two(self, capsys, cmd, doc, where):

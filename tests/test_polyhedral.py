@@ -1,8 +1,10 @@
 import random
+from fractions import Fraction
 from itertools import combinations
-from math import prod
+from math import factorial, prod
 
 import pytest
+import sympy
 
 from statikit import (
     Cone,
@@ -18,12 +20,13 @@ from statikit import (
     fan_refines,
     groebner_stratification,
     hilbert_basis,
+    orthant,
     orthant_chart,
     refines,
     star_subdivision,
     stratification_to_smooth_fan,
 )
-from statikit.polyhedral import _hilbert_points
+from statikit.polyhedral import _arrangement_fan, _hilbert_points
 from conftest import oracle_cone_contains, oracle_faces_count
 
 
@@ -63,6 +66,40 @@ def zonotope_hilbert_basis(cone):
         if not any(all(x >= 0 for x in d) and (d in point_set or cone.contains(d)) for d in diffs):
             basis.append(p)
     return tuple(sorted(basis))
+
+
+def slice_volume(cone):
+    """Volume of the slice {sum(x) = 1} of a full-dimensional cone whose rays
+    have positive coordinate sums, by a pulling triangulation: the first ray
+    coned over the triangulated facets that miss it."""
+    n = cone.ambient_dim
+    if cone.dim < n:
+        return Fraction(0)
+
+    def triangulate(c):
+        if len(c.rays) == c.dim:
+            return [c.rays]
+        r0 = c.rays[0]
+        return [s + (r0,) for f in c.faces() if f.dim == c.dim - 1 and r0 not in f.rays for s in triangulate(f)]
+
+    return sum(
+        (Fraction(n * abs(sympy.Matrix(rays).det()), factorial(n - 1) * prod(map(sum, rays))) for rays in triangulate(cone)),
+        Fraction(0),
+    )
+
+
+def pairwise_fan_defect(fan):
+    """"overlap", "gap" or None, from every pairwise intersection and the
+    slice volumes of the full-dimensional cones against the support's."""
+    keys = {c.key() for c in fan.cones}
+    for a, b in combinations(fan.cones, 2):
+        w = a.intersection(b)
+        if w.key() not in keys or w not in a.faces() or w not in b.faces():
+            return "overlap"
+    full = [c for c in fan.cones if c.dim == fan.ambient_dim]
+    if sum(map(slice_volume, full)) != slice_volume(fan.support):
+        return "gap"
+    return None
 
 
 def random_pointed_cones(rng, count, lo, hi):
@@ -467,6 +504,14 @@ class TestStratificationValidation:
         cells = self._split_wall_cells()
         assert len(PLStratification(octant, cells).cells) == len(cells)
 
+    def test_pyramid_over_non_simplicial_facets_does_not_cover(self):
+        """A non-simplicial cone of Z^4 whose pyramids over its first ray
+        are not simplicial."""
+        c = Cone(4, [(0, 0, 1, 1), (0, 1, 0, 0), (1, 0, 0, 0), (1, 0, 0, 1), (1, 2, 0, 2)])
+        assert len(c.rays) == 5 and c.dim == 4
+        with pytest.raises(ValueError, match="do not cover"):
+            PLStratification(orthant(4), [(c, "t")])
+
     def test_gap_in_a_tiled_face_rejected(self, octant):
         cells = self._split_wall_cells()
         for drop in (2, 4):
@@ -481,6 +526,51 @@ class TestVolumes:
         a = Cone(2, [(1, 0), (1, 1)])
         with pytest.raises(ValueError):
             Fan(quadrant, [a]).validate()
+
+
+class TestFanValidate:
+    def test_gap_in_a_lower_dimensional_support(self):
+        support = Cone(3, [(1, 0, 0), (0, 1, 0)])
+        with pytest.raises(ValueError, match="fan does not cover its support"):
+            Fan(support, [Cone(3, [(1, 0, 0), (1, 1, 0)])]).validate()
+
+    def test_support_with_a_ray_of_negative_coordinate_sum(self):
+        support = Cone(2, [(1, 0), (-1, 1)])
+        assert Fan(support, [Cone(2, [(1, 0), (0, 1)]), Cone(2, [(0, 1), (-1, 1)])]).validate()
+
+    def test_matches_pairwise_and_slice_volume_reference(self):
+        """Seeded fans: hyperplane arrangements of the quadrant or octant,
+        some star-subdivided, kept, less one maximal cone, or with one random
+        cone added; the verdict and the kind of defect match the reference."""
+        rng = random.Random(3)
+        seen = {None: 0, "gap": 0, "overlap": 0}
+        for _ in range(300):
+            n = rng.choice((2, 3))
+            normals, count = [], rng.randint(1, 3)
+            while len(normals) < count:
+                h = tuple(rng.randint(-2, 2) for _ in range(n))
+                if any(h):
+                    normals.append(h)
+            fan = _arrangement_fan(orthant(n), normals)
+            if rng.random() < 0.5:
+                fan = star_subdivision(fan, tuple(rng.randint(1, 3) for _ in range(n)))
+            cones = list(fan.max_cones)
+            move = rng.choice(("keep", "drop", "add"))
+            if move == "drop":
+                cones.pop(rng.randrange(len(cones)))
+            elif move == "add":
+                rays = [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(1, n + 1))]
+                cones.append(Cone(n, [r for r in rays if any(r)] or [(1,) * n]))
+            fan = Fan(fan.support, cones)
+            expected = pairwise_fan_defect(fan)
+            seen[expected] += 1
+            if expected is None:
+                assert fan.validate()
+            else:
+                message = "not a common face" if expected == "overlap" else "does not cover"
+                with pytest.raises(ValueError, match=message):
+                    fan.validate()
+        assert min(seen.values()) > 50, seen
 
 
 class TestDualDescriptionConsistency:
