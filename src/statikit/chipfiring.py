@@ -101,9 +101,20 @@ def jacobian_group(graph):
 def _reduce_with_script(graph, divisor, base):
     """Base-reduced representative together with the firing script used.
 
-    Stage one pushes all debt onto the base by firing distance sublevels,
-    stage two runs Dhar's burning algorithm until the divisor survives,
-    firing each unburnt set as many times as stays legal.
+    Three stages, none of which fires the base:
+
+    - Local borrowing: at most n sweeps, farthest vertex first. In each
+      sweep every vertex but the base that is in debt borrows
+      ceil(debt / degree) times from all its neighbours, so debt cancels
+      against nearby chips.
+    - Per-component borrowing: level by level from the farthest in, each
+      connected component of the vertices at that distance or more that
+      holds a debtor at that level borrows from the level below, as often
+      as its neediest debtor there requires. A component never borrows more
+      often than its whole level would need, and afterwards only the base
+      can be in debt.
+    - Dhar's burning algorithm from the base until the divisor survives,
+      firing each unburnt set as many times as stays legal.
     """
     n = graph.n
     nbrs = graph._nbrs
@@ -111,31 +122,49 @@ def _reduce_with_script(graph, divisor, base):
     script = [0] * n
     dist = _distances(graph, base)
 
-    def fire(outside, times):
-        """Fire every vertex that ``outside`` leaves unmarked ``times`` times:
-        d -= times * L * 1_fired.
+    def borrow(vertices, times):
+        """Each of ``vertices`` borrows ``times`` times, taking one chip along
+        each of its edges per borrow: d += times * L * 1_vertices. Moves
+        inside the set cancel."""
+        for v in vertices:
+            script[v] -= times
+            for u, m in nbrs[v].items():
+                d[u] -= times * m
+                d[v] += times * m
 
-        Chips move only along edges that leave the fired set, since the moves
-        inside it cancel. The walk runs over the outside vertices, whose
-        neighbour lists are far shorter in total than the fired set's.
-        """
-        for v in range(n):
-            if outside[v]:
-                for u, m in nbrs[v].items():
-                    if not outside[u]:
-                        d[u] -= times * m
-                        d[v] += times * m
-            else:
-                script[v] += times
+    # local borrowing, farthest vertex first
+    degree = [sum(nb.values()) for nb in nbrs]
+    order = sorted((v for v in range(n) if v != base), key=lambda v: -dist[v])
+    for _ in range(n):
+        debtors = 0
+        for v in order:
+            if d[v] < 0:
+                borrow((v,), (degree[v] - 1 - d[v]) // degree[v])
+                debtors += 1
+        if not debtors:
+            break
 
-    # stage one: push all debt onto the base, one distance level at a time
+    # per-component borrowing: every edge that leaves a component of
+    # {dist >= level} goes down to level - 1; the nearer vertices start out
+    # seen, so the walk stays inside {dist >= level}
     for level in range(max(dist), 0, -1):
-        need = 0
+        seen = [x < level for x in dist]
         for v in range(n):
-            if dist[v] == level and d[v] < 0:
-                inbound = sum(m for u, m in nbrs[v].items() if dist[u] < level)
-                need = max(need, (-d[v] + inbound - 1) // inbound)
-        fire([x >= level for x in dist], need)
+            if seen[v] or dist[v] != level or d[v] >= 0:
+                continue
+            component = [v]
+            seen[v] = True
+            for x in component:
+                for u in nbrs[x]:
+                    if not seen[u]:
+                        seen[u] = True
+                        component.append(u)
+            need = 0
+            for x in component:
+                if dist[x] == level and d[x] < 0:
+                    inbound = sum(m for u, m in nbrs[x].items() if dist[u] < level)
+                    need = max(need, (inbound - 1 - d[x]) // inbound)
+            borrow(component, need)
 
     # Dhar burning from the base: each burnt vertex heats its neighbours by
     # its edge counts, and a vertex burns once its heat exceeds its chips
@@ -155,8 +184,16 @@ def _reduce_with_script(graph, divisor, base):
         if not unburnt:
             break
         # every unburnt v has heat[v] <= d[v] edges into the burnt set, so the
-        # unburnt set can fire as often as its poorest boundary vertex allows
-        fire(burnt, min(d[v] // heat[v] for v in unburnt if heat[v]))
+        # unburnt set can fire as often as its poorest boundary vertex allows;
+        # chips cross only those heat[v] edges
+        times = min(d[v] // heat[v] for v in unburnt if heat[v])
+        for v in unburnt:
+            script[v] += times
+            if heat[v]:
+                d[v] -= times * heat[v]
+                for u, m in nbrs[v].items():
+                    if burnt[u]:
+                        d[u] += times * m
 
     return d, script
 

@@ -6,6 +6,7 @@ canonical JSON; identical inputs produce byte-identical outputs.
 """
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -110,37 +111,51 @@ SCHEMAS = {
 
 
 _TYPES = {"object": dict, "array": list, "string": str}
+_regex = functools.lru_cache(maxsize=None)(re.compile)
 
 
-def schema_violation(schema, value, path="$"):
+def schema_violation(schema, value):
     """The first violation of schema by value in document order, as a
     (path, message) pair, or None.
 
     Covers the keywords SCHEMAS uses, with jsonschema's messages.
     """
+    found = _violation(schema, value)
+    if found is None:
+        return None
+    keys, message = found
+    return "$" + "".join(f"[{key!r}]" for key in reversed(keys)), message
+
+
+def _violation(schema, value):
+    """The first violation as (keys from it up to value, message), or None;
+    the path is spelled out only for the violation that is reported."""
     kind = schema["type"]
     if not isinstance(value, _TYPES[kind]):
-        return path, f"{value!r} is not of type {kind!r}"
+        return [], f"{value!r} is not of type {kind!r}"
     if kind == "string":
         pattern = schema.get("pattern")
-        if pattern is not None and not re.search(pattern, value):
-            return path, f"{value!r} does not match {pattern!r}"
-        return None
+        if pattern is None or _regex(pattern).search(value):
+            return None
+        return [], f"{value!r} does not match {pattern!r}"
     if kind == "array":
         if len(value) < schema.get("minItems", 0):
-            return path, f"{value!r} " + ("should be non-empty" if schema["minItems"] == 1 else "is too short")
+            return [], f"{value!r} " + ("should be non-empty" if schema["minItems"] == 1 else "is too short")
         if len(value) > schema.get("maxItems", len(value)):
-            return path, f"{value!r} is too long"
-        children = ((i, schema.get("items"), item) for i, item in enumerate(value))
+            return [], f"{value!r} is too long"
+        items = schema.get("items")
+        children = enumerate(value) if items else ()
     else:
         for key in schema.get("required", ()):
             if key not in value:
-                return path, f"{key!r} is a required property"
+                return [], f"{key!r} is a required property"
         properties = schema.get("properties", {})
-        children = ((key, properties.get(key), item) for key, item in value.items())
-    for key, sub, item in children:
-        found = sub and schema_violation(sub, item, f"{path}[{key!r}]")
+        children = value.items()
+    for key, item in children:
+        sub = items if kind == "array" else properties.get(key)
+        found = sub and _violation(sub, item)
         if found:
+            found[0].append(key)
             return found
     return None
 

@@ -83,13 +83,44 @@ def rank(rows):
 def smith_invariant_factors(rows):
     """Invariant factors of an integer matrix.
 
-    Deterministic pivoting: smallest nonzero absolute value, ties by
-    position. Returns the positive diagonal entries d_1 | d_2 | ... of the
-    Smith normal form (zeros dropped).
+    Unit pivots go first, on a sparse row map: a row with a +-1 entry clears
+    that entry's column from every other row, and then row and column leave
+    with an invariant factor 1, since clearing the rest of the row takes
+    column operations that touch no other row. The shortest such row goes
+    first, to keep fill-in low. The core left without a unit entry takes
+    dense pivoting: smallest nonzero absolute value, ties by position.
+    Returns the positive diagonal entries d_1 | d_2 | ... of the Smith
+    normal form (zeros dropped).
     """
-    m = [list(map(int, r)) for r in rows]
-    if not m or not m[0]:
-        return []
+    sparse = [{j: x for j, x in enumerate(map(int, r)) if x} for r in rows]
+    units = 0
+    while True:
+        pick = None
+        for i, r in enumerate(sparse):
+            if pick is None or len(r) < len(sparse[pick[0]]):
+                j = next((j for j, x in r.items() if x in (1, -1)), None)
+                if j is not None:
+                    pick = i, j
+        if pick is None:
+            break
+        i, j = pick
+        pivot_row = sparse.pop(i)
+        sign = pivot_row.pop(j)
+        for r in sparse:
+            f = r.pop(j, 0) * sign
+            if f:
+                for k, x in pivot_row.items():
+                    y = r.get(k, 0) - f * x
+                    if y:
+                        r[k] = y
+                    else:
+                        del r[k]
+        units += 1
+    # zero rows and columns add no invariant factor
+    cols = sorted({j for r in sparse for j in r})
+    m = [[r.get(j, 0) for j in cols] for r in sparse if r]
+    if not m:
+        return [1] * units
     rows_n, cols_n = len(m), len(m[0])
     t = 0
     size = min(rows_n, cols_n)
@@ -149,7 +180,7 @@ def smith_invariant_factors(rows):
                     diag[i], diag[j] = g, l
                     changed = True
     diag.sort()
-    return diag
+    return [1] * units + diag
 
 
 def inverse_unimodular(rows):

@@ -321,8 +321,11 @@ class Fan:
         Santos, "Triangulations", 2.1): a point of relint(a & b) lies in the
         relative interior of one face of a and one face of b, which are then
         equal and contain a & b. So the fan is checked as a partition of its
-        support, like a stratification.
+        support, like a stratification. The arrangement cuts the support,
+        so a support that is not pointed is rejected first.
         """
+        if not self.support.is_pointed():
+            raise UnsupportedSupportError("support must be pointed")
         hits = _partition_misfit(self.support, self.cones)
         if hits is not None:
             raise ValueError("intersection of fan cones is not a common face" if hits else "fan does not cover its support")

@@ -1,5 +1,6 @@
 import itertools
 import random
+import signal
 
 import pytest
 import sympy
@@ -113,13 +114,25 @@ class TestJacobian:
         assert jacobian_group(Graph(2, [(0, 1)] * 5)) == [5]
 
     def test_matches_sympy_snf_oracle(self):
+        """Small random graphs, and 20-40-vertex multigraphs whose edges are
+        doubled or tripled at random. Those have at least two invariant
+        factors above 1, so peeling unit pivots, which only gives factors 1,
+        leaves a core of at least 2 x 2 for the dense pivoting. sympy's Smith
+        form takes minutes on about one such matrix in twenty (its entries
+        grow); the twelve drawn from seed 12 take 0.1 s."""
         rng = random.Random(9)
-        for _ in range(15):
-            g = random_connected_graph(rng)
+        graphs = [random_connected_graph(rng) for _ in range(15)]
+        rng = random.Random(12)
+        for _ in range(12):
+            g = deep_graph(rng, rng.randint(20, 40), 2)
+            graphs.append(Graph(g.n, [e for e in g.edges for _ in range(rng.choice((1, 1, 2, 3)))]))
+        for g in graphs:
             l = laplacian(g)
             reduced = [row[1:] for row in l[1:]]
             expected = [d for d in oracle_snf_diagonal(reduced) if d > 1]
             assert jacobian_group(g) == sorted(expected)
+            if g.n >= 20:
+                assert len(expected) >= 2
 
     def test_order_equals_spanning_tree_count(self):
         graphs = [
@@ -210,9 +223,11 @@ class TestReducedDivisor:
 
 
 def whole_set_reduce_with_script(graph, divisor, base):
-    """The previous `_reduce_with_script`, which fires each distance sublevel
-    and each unburnt set vertex by vertex along every edge, inside moves
-    included; the oracle for the boundary-only firing."""
+    """An earlier `_reduce_with_script`: its stage one fires each distance
+    sublevel, the base included, as often as the neediest vertex of the level
+    above needs, and every firing, in both stages, moves chips vertex by
+    vertex along every edge, inside moves included. The oracle for the
+    reduced divisor, and for the script up to a constant."""
     n = graph.n
     nbrs = graph._nbrs
     d = list(divisor)
@@ -254,20 +269,113 @@ def whole_set_reduce_with_script(graph, divisor, base):
     return d, script
 
 
+def assert_same_reduction(graph, divisor, base):
+    """The reduction matches ``whole_set_reduce_with_script``: the same
+    reduced divisor, and a script that differs from the oracle's by one
+    constant (only the oracle fires the base) and replays to it."""
+    n = graph.n
+    reduced, script = _reduce_with_script(graph, divisor, base)
+    want, want_script = whole_set_reduce_with_script(graph, divisor, base)
+    assert reduced == want, (graph, divisor, base)
+    shift = want_script[base] - script[base]
+    assert [a - b for a, b in zip(want_script, script)] == [shift] * n
+    l = oracle_laplacian(n, graph.edges)
+    assert [divisor[v] - sum(l[v][u] * script[u] for u in range(n)) for v in range(n)] == reduced
+
+
+def path(n):
+    return Graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def ladder(n):
+    """Two paths of n // 2 vertices joined rung by rung; vertex 0 is a corner."""
+    h = n // 2
+    rails = [(i, i + 1) for i in range(h - 1)] + [(h + i, h + i + 1) for i in range(h - 1)]
+    return Graph(2 * h, rails + [(i, h + i) for i in range(h)])
+
+
+def far_divisor(graph, chips):
+    """``chips`` on the last vertex farthest from vertex 0, none elsewhere."""
+    dist = _distances(graph, 0)
+    d = [0] * graph.n
+    d[max(range(graph.n), key=lambda v: (dist[v], v))] = chips
+    return d
+
+
+def reduce_within(seconds, graph, divisor):
+    """``_reduce_with_script`` from vertex 0, failing once it has run for
+    ``seconds`` instead of waiting for it."""
+
+    def expire(signum, frame):
+        raise AssertionError(f"reduction ran over {seconds} s: {graph}")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return _reduce_with_script(graph, divisor, 0)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 class TestBoundaryFiring:
     def test_matches_whole_set_firing(self):
-        """Divisor and script agree with firing along every edge of the fired
-        sets, in both stages, on deep 20-40-vertex graphs and on small random
-        multigraphs, from several bases."""
+        """The reduction agrees with firing along every edge of the fired
+        sets on deep 20-40-vertex graphs and on small random multigraphs,
+        from several bases."""
         rng = random.Random(53)
         graphs = [deep_graph(rng, rng.randint(20, 40), rng.randint(3, 6)) for _ in range(12)]
         graphs += [random_connected_graph(rng, max_v=9, max_extra=10) for _ in range(40)]
         for g in graphs:
             for base in {0, rng.randrange(g.n)}:
                 for _ in range(3):
-                    d = [rng.randint(-8, 12) for _ in range(g.n)]
-                    want = whole_set_reduce_with_script(g, d, base)
-                    assert _reduce_with_script(g, d, base) == want, (g, d, base)
+                    assert_same_reduction(g, [rng.randint(-8, 12) for _ in range(g.n)], base)
+
+
+class TestReductionRobustness:
+    """Stage one must not let debt diffuse: borrowing until no debt is left
+    takes a number of sweeps that grows with the debt."""
+
+    def test_far_debt_and_surplus_on_sparse_shapes(self):
+        """30-40-vertex paths, cycles and trees with up to 10**12 chips of
+        debt or surplus at the far end, where the old whole-level firing
+        takes the same time at every magnitude. Each reduction takes at most
+        2 ms on a 2-core box; local borrowing run until no debt is left
+        takes 0.12 s on the 40-vertex path at -10**6 and 0.34 s at -10**12."""
+        rng = random.Random(29)
+        graphs = []
+        for n in (30, 40):
+            graphs += [path(n), cycle(n), Graph(n, [(v, rng.randint(0, v - 1)) for v in range(1, n)])]
+        for g in graphs:
+            for chips in (10**3, -(10**3), 10**6, -(10**6), 10**12, -(10**12)):
+                d = far_divisor(g, chips)
+                reduce_within(0.1, g, d)
+                assert_same_reduction(g, d, 0)
+
+    def test_ladders(self):
+        """Ladders with a small far debt or a larger far surplus. Dhar
+        burning is slow on ladders whatever stage one does: the 40-vertex
+        ladder with a far debt of 2 takes 1.2 s, and 3.1 s by the oracle."""
+        for n, charges in ((30, (-5, 5, 1000)), (40, (3, 500))):
+            g = ladder(n)
+            for chips in charges:
+                d = far_divisor(g, chips)
+                reduce_within(1.0, g, d)
+                assert_same_reduction(g, d, 0)
+
+    def test_random_multigraphs_from_random_bases(self):
+        """Multigraphs with edges of multiplicity 1-3 and divisors of
+        magnitude up to 1,000, uniform or all debt on one vertex."""
+        rng = random.Random(61)
+        for _ in range(40):
+            g = random_connected_graph(rng, max_v=16, max_extra=12)
+            g = Graph(g.n, [e for e in g.edges for _ in range(rng.randint(1, 3))])
+            base = rng.randrange(g.n)
+            for magnitude in (10, 1000):
+                assert_same_reduction(g, [rng.randint(-magnitude, magnitude) for _ in range(g.n)], base)
+                d = [0] * g.n
+                d[rng.randrange(g.n)] = -magnitude
+                assert_same_reduction(g, d, base)
 
 
 class TestEquivalence:

@@ -223,6 +223,18 @@ class TestInputErrors:
         assert code == 2 and out == ""
         assert err.startswith(f"error: INVALID_INPUT: {where}"), err
 
+    def test_non_pointed_fan_support_is_exit_two(self, capsys):
+        """The complete fan of Z^2: four quadrants on the whole plane."""
+        axes = [["1", "0"], ["0", "1"], ["-1", "0"], ["0", "-1"]]
+        quadrants = [{"rays": [axes[i], axes[(i + 1) % 4]]} for i in range(4)]
+        doc = {
+            "presentation": {"chart": ORTHANT, "matrix": [[X]]},
+            "fan": {"support": {"rays": axes}, "cones": quadrants},
+        }
+        code, out, err = run_cli(["verify-theorem", json.dumps(doc)], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: UNSUPPORTED_SUPPORT: support must be pointed\n"
+
     def test_inline_json_accepted(self, capsys):
         code, out, _ = run_cli(["jacobian", '{"vertices": "2", "edges": [["0","1"],["0","1"]]}'], capsys)
         assert code == 0

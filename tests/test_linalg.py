@@ -1,5 +1,5 @@
 """Exact linear algebra: the one fraction-free elimination behind rank and
-unimodular inverse, checked against sympy.
+unimodular inverse, and the Smith form, checked against sympy.
 """
 
 import random
@@ -7,7 +7,8 @@ import random
 import pytest
 import sympy
 
-from statikit.linalg import _bareiss, inverse_unimodular, rank
+from statikit.linalg import _bareiss, inverse_unimodular, rank, smith_invariant_factors
+from conftest import oracle_snf_diagonal
 
 
 def random_matrix(rng, nrows, ncols):
@@ -89,3 +90,26 @@ class TestInverseUnimodular:
         assert abs(sympy.Matrix(m).det()) == 2
         with pytest.raises(ValueError, match="not unimodular"):
             inverse_unimodular(m)
+
+
+class TestSmithForm:
+    def test_matches_sympy_snf_oracle(self):
+        """Square and non-square matrices, some with zero rows, and matrices
+        with no unit entry, where nothing is peeled and the dense pivoting
+        does all the work."""
+        rng = random.Random(17)
+        cases = [[[2, 4], [6, 8]], [[0, 0, 0]], [[6, 0], [0, 4], [0, 0]]]
+        for _ in range(60):
+            m = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
+            if rng.random() < 0.3:
+                m.insert(rng.randint(0, len(m)), [0] * len(m[0]))
+            cases.append(m)
+        for _ in range(30):
+            nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
+            cases.append([[rng.choice((0, 2, -2, 3, -3, 4, 6, -6)) for _ in range(ncols)] for _ in range(nrows)])
+        for m in cases:
+            assert smith_invariant_factors(m) == oracle_snf_diagonal(m), m
+
+    def test_empty(self):
+        assert smith_invariant_factors([]) == []
+        assert smith_invariant_factors([[], []]) == []

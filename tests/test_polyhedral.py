@@ -534,6 +534,12 @@ class TestFanValidate:
         with pytest.raises(ValueError, match="fan does not cover its support"):
             Fan(support, [Cone(3, [(1, 0, 0), (1, 1, 0)])]).validate()
 
+    def test_non_pointed_support_rejected(self):
+        axes = [(1, 0), (0, 1), (-1, 0), (0, -1)]
+        quadrants = [Cone(2, [axes[i], axes[(i + 1) % 4]]) for i in range(4)]
+        with pytest.raises(UnsupportedSupportError, match="support must be pointed"):
+            Fan(Cone(2, axes), quadrants).validate()
+
     def test_support_with_a_ray_of_negative_coordinate_sum(self):
         support = Cone(2, [(1, 0), (-1, 1)])
         assert Fan(support, [Cone(2, [(1, 0), (0, 1)]), Cone(2, [(0, 1), (-1, 1)])]).validate()
