@@ -5,6 +5,8 @@ lattice Z^n. Dual (inequality) descriptions are computed with the double
 description method over exact integers; no floating point is used anywhere.
 """
 
+from itertools import chain
+
 from .errors import (
     NotPointedError,
     RayOutsideSupportError,
@@ -22,14 +24,6 @@ from .linalg import (
     vscale,
     vsub,
 )
-
-
-def _dedupe(vectors):
-    seen = []
-    for v in vectors:
-        if v not in seen:
-            seen.append(v)
-    return seen
 
 
 def double_description(ambient_dim, normals):
@@ -108,7 +102,7 @@ class Cone:
                 cleaned.append(primitive(r))
         # greedy: drop the first ray that lies in the cone of the others,
         # then go on; for a non-pointed cone the result depends on the order
-        kept = _dedupe(cleaned)
+        kept = list(dict.fromkeys(cleaned))
         i = 0
         while i < len(kept):
             if _in_dual(double_description(self.ambient_dim, kept[:i] + kept[i + 1:]), kept[i]):
@@ -151,10 +145,7 @@ class Cone:
         return self.ambient_dim - len(self.span_normals)
 
     def is_pointed(self):
-        gens = list(self.span_normals) + list(self.facet_normals)
-        if not gens:
-            return self.ambient_dim == 0
-        return rank(gens) == self.ambient_dim
+        return rank(self.span_normals + self.facet_normals) == self.ambient_dim
 
     # -- predicates ------------------------------------------------------------
 
@@ -187,8 +178,6 @@ class Cone:
         """Whether the rays extend to a basis of the ambient lattice."""
         if not self.is_pointed():
             raise NotPointedError("smoothness is only defined for pointed cones")
-        if not self.rays:
-            return True
         if len(self.rays) != self.dim:
             return False
         factors = smith_invariant_factors([list(r) for r in self.rays])
@@ -204,11 +193,11 @@ class Cone:
         full ray set under intersection with each facet's ray set (Kaibel and
         Pfetsch, "Computing the face lattice of a polytope from its
         vertex-facet incidences"). The rays of the cone on a face are the
-        extreme rays of that face.
+        extreme rays of that face, and the top face is the cone itself.
         """
-        if not self.is_pointed():
-            raise NotPointedError("face enumeration requires a pointed cone")
         if self._faces is None:
+            if not self.is_pointed():
+                raise NotPointedError("face enumeration requires a pointed cone")
             facets = [frozenset(r for r in self.rays if dot(a, r) == 0) for a in self.facet_normals]
             found = {frozenset(self.rays)}
             todo = list(found)
@@ -220,7 +209,7 @@ class Cone:
                         found.add(meet)
                         todo.append(meet)
             keys = sorted(tuple(r for r in self.rays if r in face) for face in found)
-            self._faces = tuple(Cone._of_extreme_rays(self.ambient_dim, k) for k in keys)
+            self._faces = tuple(self if k == self.rays else Cone._of_extreme_rays(self.ambient_dim, k) for k in keys)
         return self._faces
 
     def cut(self, normals):
@@ -288,10 +277,7 @@ class Fan:
 
     @property
     def ray_set(self):
-        out = set()
-        for c in self.cones:
-            out.update(c.rays)
-        return out
+        return {r for c in self.max_cones for r in c.rays}
 
     def key(self):
         return (self.support.key(), tuple(c.key() for c in self.cones))
@@ -321,12 +307,16 @@ class Fan:
         Santos, "Triangulations", 2.1): a point of relint(a & b) lies in the
         relative interior of one face of a and one face of b, which are then
         equal and contain a & b. So the fan is checked as a partition of its
-        support, like a stratification. The arrangement cuts the support,
-        so a support that is not pointed is rejected first.
+        support, like a stratification. Every face of a maximal cone C is C
+        cut by the facet hyperplanes that contain it, so the hyperplanes of
+        the maximal cones suffice: each cone of their arrangement lies in
+        the relative interior of exactly one face of C, or outside C. The
+        arrangement cuts the support, so a support that is not pointed is
+        rejected first.
         """
         if not self.support.is_pointed():
             raise UnsupportedSupportError("support must be pointed")
-        hits = _partition_misfit(self.support, self.cones)
+        hits = _partition_misfit(_cell_arrangement(self.support, self.max_cones), self.cones)
         if hits is not None:
             raise ValueError("intersection of fan cones is not a common face" if hits else "fan does not cover its support")
         return True
@@ -338,19 +328,21 @@ def star_subdivision(fan, point):
     Every maximal cone containing the point is replaced by the cones that
     the point spans with the faces missing it. At a ray of the fan this
     triangulates the non-simplicial cones through the ray; when every cone
-    through it is simplicial the fan is returned unchanged.
+    through it is simplicial the result is an equal fan.
     """
     r = primitive(tuple(int(x) for x in point))
     if is_zero(r):
         raise ValueError("cannot subdivide at the origin")
     if not fan.support.contains(r):
         raise RayOutsideSupportError(f"{r} is outside the fan support")
-    if r in fan.ray_set and all(len(c.rays) == c.dim for c in fan.max_cones if c.contains(r)):
-        return fan
     new_max = []
     for c in fan.max_cones:
         if c.contains(r):
-            new_max.extend(Cone(fan.ambient_dim, f.rays + (r,)) for f in c.faces() if not f.contains(r))
+            # r lies in c but not in its face f, and span(f) meets c in f,
+            # so r is outside span(f): the rays of f and r are all extreme
+            new_max.extend(
+                Cone._of_extreme_rays(fan.ambient_dim, tuple(sorted(f.rays + (r,)))) for f in c.faces() if not f.contains(r)
+            )
         else:
             new_max.append(c)
     return Fan(fan.support, new_max)
@@ -395,7 +387,9 @@ class PLStratification:
                     "not uniform; supply the missing cells explicitly"
                 )
             cells = cells + [(f, cells[0][1]) for f in missing.values()]
-        hits = _partition_misfit(self.support, [c for c, _ in cells])
+        # a face of one cell may be tiled by smaller cells, so every cell cuts
+        cones = [c for c, _ in cells]
+        hits = _partition_misfit(_cell_arrangement(self.support, cones), cones)
         if hits is not None:
             raise ValueError("cell interiors overlap" if hits else "cells do not cover the support")
         return cells
@@ -537,15 +531,16 @@ def _cell_arrangement(support, cones):
     return _arrangement_fan(support, sorted({lex_positive(h) for c in cones for h in c.facet_normals + c.span_normals}))
 
 
-def _partition_misfit(support, cones):
+def _partition_misfit(arrangement, cones):
     """None if the relative interiors of the cones partition the support.
 
-    The relative interior of each cone of their arrangement lies inside or
-    outside each cone's, so its interior point decides it. Otherwise returns
-    how many cones (0, or 2 and more) hold that point for the first
-    arrangement cone not held by exactly one.
+    The arrangement must cut the support finely enough that the relative
+    interior of each of its cones lies inside or outside each cone's, so
+    its interior point decides it. Otherwise returns how many cones (0, or
+    2 and more) hold that point for the first arrangement cone not held by
+    exactly one.
     """
-    for k in _cell_arrangement(support, cones).cones:
+    for k in arrangement.cones:
         hits = sum(c.relint_contains(k.interior_point()) for c in cones)
         if hits != 1:
             return hits
@@ -561,8 +556,8 @@ def stratification_to_smooth_fan(stratification):
     faces adds no cone; otherwise the start is the full hyperplane
     arrangement spanned by the cells' facets. Non-smooth cones are then
     resolved by star subdivisions at Hilbert basis elements of smallest
-    coordinate sum (ties lexicographic); non-simplicial cones whose Hilbert
-    basis adds no ray are triangulated stellarly.
+    coordinate sum (ties lexicographic); a non-simplicial cone whose Hilbert
+    basis adds no ray is subdivided at its first ray that changes the fan.
     """
     support = stratification.support
     closures = [c for c, _ in stratification.cells]
@@ -573,23 +568,15 @@ def stratification_to_smooth_fan(stratification):
             raise ValueError("arrangement fan fails to refine the stratification")
 
     while True:
-        bad = None
-        for c in fan.max_cones:
-            if not c.is_smooth():
-                bad = c
-                break
+        bad = next((c for c in fan.max_cones if not c.is_smooth()), None)
         if bad is None:
             return fan
         existing = fan.ray_set
-        pick = next((h for h in _hilbert_points(bad) if h not in existing), None)
-        if pick is not None:
-            fan = star_subdivision(fan, pick)
-            continue
-        # non-simplicial cone generated by its own Hilbert basis: triangulate.
-        # Subdividing at the apex of a pyramid over a non-simplicial base
-        # gives the pyramid back (from dimension 4), so try every ray.
-        for r in bad.rays:
-            candidate = star_subdivision(fan, r)
+        # a new Hilbert point always changes the fan; else triangulate at a
+        # ray, but every ray is tried, since at the apex of a pyramid over a
+        # non-simplicial base the pyramid comes back (from dimension 4)
+        for p in chain((h for h in _hilbert_points(bad) if h not in existing), bad.rays):
+            candidate = star_subdivision(fan, p)
             if candidate.key() != fan.key():
                 fan = candidate
                 break

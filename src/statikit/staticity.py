@@ -9,7 +9,7 @@ zero. Koszul homology computes the same Tor and is run only on a face where
 it does not vanish, to give the witness.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 
@@ -131,8 +131,7 @@ class ModulePresentation:
         return f"ModulePresentation({self.nrows}x{self.ncols} on {self.chart!r})"
 
 
-@dataclass(frozen=True)
-class TorReport:
+class TorReport(namedtuple("TorReport", "face degree vanishes witness", defaults=(None,))):
     """Vanishing record for one face of the chart monoid.
 
     ``face`` lists the variables spanning the face; the Koszul sequence is
@@ -140,10 +139,7 @@ class TorReport:
     (wedge labels plus a vector over the free cover) when vanishes is False.
     """
 
-    face: tuple
-    degree: int
-    vanishes: bool
-    witness: object = None
+    __slots__ = ()
 
 
 def _wedge_basis(seq, p):

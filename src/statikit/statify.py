@@ -4,7 +4,7 @@ smooth fan, pull the module back to every chart, and certify staticity.
 
 import hashlib
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import NonSmoothChartError, SupportMismatchError, UnsupportedSupportError
 from .groebner import groebner_stratification
@@ -78,22 +78,17 @@ def pullback_presentation(presentation, modification, cone):
     return ModulePresentation(chart, rows)
 
 
-@dataclass(frozen=True)
-class ChartReport:
-    cone: object
-    substitution: list  # rows of the exponent matrix, as substitution_matrix returns
-    presentation: object
-    static: bool
-    reports: tuple
+# substitution: rows of the exponent matrix, as substitution_matrix returns
+ChartReport = namedtuple("ChartReport", "cone substitution presentation static reports")
 
 
-@dataclass(frozen=True)
-class TheoremCheck:
-    """Both sides of the staticity criterion, computed independently."""
+class TheoremCheck(namedtuple("TheoremCheck", "fan_refines_stratification charts all_static")):
+    """Both sides of the staticity criterion, computed independently.
 
-    fan_refines_stratification: bool
-    charts: tuple  # (cone, static) pairs
-    all_static: bool
+    charts holds (cone, static) pairs.
+    """
+
+    __slots__ = ()
 
     @property
     def agrees(self):

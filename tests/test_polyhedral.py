@@ -26,7 +26,8 @@ from statikit import (
     star_subdivision,
     stratification_to_smooth_fan,
 )
-from statikit.polyhedral import _arrangement_fan, _hilbert_points
+from statikit.linalg import primitive
+from statikit.polyhedral import _arrangement_fan, _cell_arrangement, _hilbert_points
 from conftest import oracle_cone_contains, oracle_faces_count
 
 
@@ -100,6 +101,11 @@ def pairwise_fan_defect(fan):
     if sum(map(slice_volume, full)) != slice_volume(fan.support):
         return "gap"
     return None
+
+
+def box_points(cone):
+    """The number of lattice points of the box [0, sum of the rays]."""
+    return prod(1 + sum(r[i] for r in cone.rays) for i in range(cone.ambient_dim))
 
 
 def random_pointed_cones(rng, count, lo, hi):
@@ -391,14 +397,7 @@ class TestStratificationToSmoothFan:
         """Face-closing the cell closures adds no cone exactly when those
         closures form a valid fan that refines the stratification."""
         rng = random.Random(17)
-        strats = [self._wall_on_undivided_floor(octant), self._square_pyramid()]
-        for _ in range(6):
-            # the syzygies of a row of two binomials
-            nvars = rng.choice([2, 3])
-            row = [Poly(nvars, {tuple(rng.randint(0, 2) for _ in range(nvars)): rng.choice([1, -1]) for _ in range(2)})
-                   for _ in range(2)]
-            m = ModulePresentation(orthant_chart(nvars), [row])
-            strats.append(groebner_stratification(m.kernel(), m.chart.cone).stratification)
+        strats = [self._wall_on_undivided_floor(octant), self._square_pyramid()] + random_kernel_stratifications(rng, 6)
         for s in strats:
             closures = [c for c, _ in s.cells]
             fan = Fan(s.support, closures)
@@ -408,6 +407,104 @@ class TestStratificationToSmoothFan:
             except ValueError:
                 valid_and_refining = False
             assert (len(fan.cones) == len(closures)) == valid_and_refining
+
+
+def reference_star_subdivision(fan, point):
+    """Reference star subdivision: a shortcut returns the fan at a ray
+    through simplicial cones only, and `Cone` re-proves the rays of every
+    new cone extreme."""
+    r = primitive(tuple(int(x) for x in point))
+    if r in fan.ray_set and all(len(c.rays) == c.dim for c in fan.max_cones if c.contains(r)):
+        return fan
+    new_max = []
+    for c in fan.max_cones:
+        if c.contains(r):
+            new_max.extend(Cone(fan.ambient_dim, f.rays + (r,)) for f in c.faces() if not f.contains(r))
+        else:
+            new_max.append(c)
+    return Fan(fan.support, new_max)
+
+
+def reference_smooth_fan(stratification):
+    """Reference smoothing in two branches: subdivide at the first new
+    Hilbert point, or else triangulate at the first ray that changes the fan."""
+    support = stratification.support
+    closures = [c for c, _ in stratification.cells]
+    fan = Fan(support, closures)
+    if len(fan.cones) != len(closures):
+        fan = _cell_arrangement(support, closures)
+    while True:
+        bad = None
+        for c in fan.max_cones:
+            if not c.is_smooth():
+                bad = c
+                break
+        if bad is None:
+            return fan
+        existing = fan.ray_set
+        pick = next((h for h in _hilbert_points(bad) if h not in existing), None)
+        if pick is not None:
+            fan = reference_star_subdivision(fan, pick)
+            continue
+        for r in bad.rays:
+            candidate = reference_star_subdivision(fan, r)
+            if candidate.key() != fan.key():
+                fan = candidate
+                break
+        else:
+            raise ValueError("unable to subdivide non-smooth cone")
+
+
+def random_kernel_stratifications(rng, count):
+    """Groebner stratifications of the syzygies of a row of two binomials."""
+    strats = []
+    for _ in range(count):
+        nvars = rng.choice([2, 3])
+        row = [Poly(nvars, {tuple(rng.randint(0, 2) for _ in range(nvars)): rng.choice([1, -1]) for _ in range(2)})
+               for _ in range(2)]
+        m = ModulePresentation(orthant_chart(nvars), [row])
+        strats.append(groebner_stratification(m.kernel(), m.chart.cone).stratification)
+    return strats
+
+
+def random_support_points(rng, cone, count):
+    """Nonzero combinations of the cone's rays with weights 0-2."""
+    points = []
+    while len(points) < count:
+        weights = [rng.randint(0, 2) for _ in cone.rays]
+        p = tuple(sum(w * r[i] for w, r in zip(weights, cone.rays)) for i in range(cone.ambient_dim))
+        if any(p):
+            points.append(p)
+    return points
+
+
+class TestSmoothingDifferential:
+    """The one candidate loop and the stellar subdivision that skips the
+    extremeness proofs give the fans of the two-branch reference above."""
+
+    PYRAMID4 = Cone(4, [(0, 0, 1, 1), (0, 1, 0, 0), (1, 0, 0, 0), (1, 0, 0, 1), (1, 2, 0, 2)])
+
+    def test_matches_reference(self):
+        rng = random.Random(30)
+        cones = [c for c in random_pointed_cones(rng, 400, 0, 4) if box_points(c) <= 3000][:80]
+        assert {c.ambient_dim for c in cones} == {2, 3, 4}
+        assert sum(not c.is_smooth() for c in cones) > 30
+        strats = [PLStratification(c, [(c, "all")]) for c in cones + [self.PYRAMID4]]
+        strats += random_kernel_stratifications(rng, 8) + [TestStratificationToSmoothFan._square_pyramid()]
+        for s in strats:
+            fan = stratification_to_smooth_fan(s)
+            assert fan.key() == reference_smooth_fan(s).key(), s
+            for start in (Fan(s.support, [s.support]), fan):
+                for p in random_support_points(rng, s.support, 3) + sorted(start.ray_set):
+                    assert star_subdivision(start, p).key() == reference_star_subdivision(start, p).key(), (s, p)
+
+    def test_det_2198_cone(self):
+        """The one-cell stratification of a 3-ray cone of |det| = 2198."""
+        c = Cone(3, [(1, 0, 13), (6, 13, 1), (14, 1, 7)])
+        s = PLStratification(c, [(c, "all")])
+        fan = stratification_to_smooth_fan(s)
+        assert len(fan.max_cones) == 424
+        assert fan.is_smooth() and refines(fan, s)
 
 
 def containment_max_cones(fan):
@@ -451,9 +548,6 @@ class TestHilbertBasis:
         """Basis and smoothing pick (the least (sum, lex) basis element not
         yet a ray) against the irreducibility test over the whole box."""
         rng = random.Random(8)
-        def box_points(c):
-            return prod(1 + sum(r[i] for r in c.rays) for i in range(c.ambient_dim))
-
         cones = [c for c in random_pointed_cones(rng, 400, 0, 3) if box_points(c) <= 600][:150]
         assert {c.ambient_dim for c in cones} == {2, 3, 4}
         picked = 0
