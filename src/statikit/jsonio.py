@@ -6,8 +6,8 @@ dictionaries are emitted with sorted keys and values in canonical order, so
 equal values produce byte-identical documents.
 """
 
-import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .chipfiring import Graph
 from .errors import InvalidInputError
@@ -89,6 +89,8 @@ def fan_from_json(obj, where="fan"):
         raise InvalidInputError(f"{where}: expected an object")
     ambient = _parse_int(obj.get("ambient_dim"), where) if "ambient_dim" in obj else None
     support = cone_from_json(obj["support"], ambient, where + ".support")
+    if ambient is not None and ambient != support.ambient_dim:
+        raise InvalidInputError(f"{where}: ambient_dim {ambient} differs from the support's {support.ambient_dim}")
     cones = [cone_from_json(c, support.ambient_dim, where + ".cones") for c in obj.get("cones", [])]
     fan = _build(where, Fan, support, cones)
     _build(where, fan.validate)
@@ -310,6 +312,51 @@ def certificate_from_json(obj, where="certificate"):
     return StatificationCertificate(presentation, kernel, strat, fan, charts, audit)
 
 
+# -- the canonical emitter ---------------------------------------------------------
+
+
 def dumps(obj):
-    """Canonical JSON text: sorted keys, fixed separators, trailing newline."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Canonical JSON text: sorted keys, two-space indent, ASCII, trailing newline.
+
+    The bytes are those of ``json.dumps(obj, sort_keys=True, indent=2) + "\n"``,
+    without the pure-Python generators that ``indent`` selects there: strings
+    go straight to json's C string encoder. Only str, bool, None, int, dicts
+    with str keys, lists and tuples are emitted; anything else, a float
+    included, is a TypeError.
+    """
+    out = []
+    _emit("", obj, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+def _emit(head, obj, out, nl):
+    """Append head and the text of obj, whose lines start with nl.
+
+    head is joined to obj's first fragment, so the separator, the key and an
+    atom or opening bracket make one fragment: few fragments are alive at once.
+    """
+    if isinstance(obj, str):
+        out.append(head + encode_basestring_ascii(obj))
+    elif obj is None or obj is True or obj is False:
+        out.append(head + ("null" if obj is None else "true" if obj else "false"))
+    elif isinstance(obj, int):
+        out.append(head + int.__repr__(obj))
+    elif isinstance(obj, dict):
+        inner = nl + "  "
+        sep = head + "{" + inner
+        for key, value in sorted(obj.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            _emit(sep + encode_basestring_ascii(key) + ": ", value, out, inner)
+            sep = "," + inner
+        out.append(nl + "}" if obj else head + "{}")
+    elif isinstance(obj, (list, tuple)):
+        inner = nl + "  "
+        sep = head + "[" + inner
+        for value in obj:
+            _emit(sep, value, out, inner)
+            sep = "," + inner
+        out.append(nl + "]" if obj else head + "[]")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")

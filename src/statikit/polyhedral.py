@@ -101,14 +101,16 @@ class Cone:
             if not is_zero(r):
                 cleaned.append(primitive(r))
         # greedy: drop the first ray that lies in the cone of the others,
-        # then go on; for a non-pointed cone the result depends on the order
+        # then go on; for a non-pointed cone the result depends on the order.
+        # Linearly independent rays are all extreme: none would be dropped
         kept = list(dict.fromkeys(cleaned))
-        i = 0
-        while i < len(kept):
-            if _in_dual(double_description(self.ambient_dim, kept[:i] + kept[i + 1:]), kept[i]):
-                kept.pop(i)
-            else:
-                i += 1
+        if rank(kept) < len(kept):
+            i = 0
+            while i < len(kept):
+                if _in_dual(double_description(self.ambient_dim, kept[:i] + kept[i + 1:]), kept[i]):
+                    kept.pop(i)
+                else:
+                    i += 1
         self.rays = tuple(sorted(kept))
         self._dual = None
         self._faces = None

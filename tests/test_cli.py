@@ -216,6 +216,14 @@ class TestInputErrors:
                 },
                 "fan: intersection of fan cones is not a common face",
             ),
+            (
+                "verify-theorem",
+                {
+                    "presentation": {"chart": ORTHANT, "matrix": [[X]]},
+                    "fan": {"ambient_dim": "3", "support": ORTHANT, "cones": [{"rays": ORTHANT["rays"]}]},
+                },
+                "fan: ambient_dim 3 differs from the support's 2",
+            ),
         ],
     )
     def test_schema_valid_but_malformed_is_exit_two(self, capsys, cmd, doc, where):
@@ -243,11 +251,14 @@ class TestInputErrors:
 
 class TestSchemas:
     def test_schema_flag_prints_valid_schema(self, capsys):
+        """--schema prints SCHEMAS[cmd] in the bytes json.dumps gives it."""
         import jsonschema
+        from statikit.cli import SCHEMAS
 
         for cmd in ["stratify", "statify", "check-static", "tor-dim", "verify-theorem", "jacobian", "chip-equiv", "firing-script"]:
             code, out, _ = run_cli([cmd, "--schema"], capsys)
             assert code == 0
+            assert out == json.dumps(SCHEMAS[cmd], sort_keys=True, indent=2) + "\n", cmd
             doc = json.loads(out)
             assert doc.get("type") in ("object", "array")
             jsonschema.validators.validator_for(doc).check_schema(doc)

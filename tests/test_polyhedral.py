@@ -26,8 +26,9 @@ from statikit import (
     star_subdivision,
     stratification_to_smooth_fan,
 )
-from statikit.linalg import primitive
-from statikit.polyhedral import _arrangement_fan, _cell_arrangement, _hilbert_points
+from statikit import polyhedral
+from statikit.linalg import primitive, rank
+from statikit.polyhedral import _arrangement_fan, _cell_arrangement, _hilbert_points, _in_dual, double_description
 from conftest import oracle_cone_contains, oracle_faces_count
 
 
@@ -721,3 +722,70 @@ class TestDualDescriptionConsistency:
             for _ in range(12 if lo == 0 else 4):
                 x = tuple(rng.randint(-3, 4) for _ in range(dim))
                 assert c.contains(x) == oracle_cone_contains(gens, x), (trial, rays, x)
+
+
+def reference_cone_rays(ambient_dim, rays):
+    """`Cone(ambient_dim, rays).rays` by the greedy leave-one-out loop run on
+    every ray set, linearly independent ones included."""
+    kept = list(dict.fromkeys(primitive(tuple(r)) for r in rays if any(r)))
+    i = 0
+    while i < len(kept):
+        if _in_dual(double_description(ambient_dim, kept[:i] + kept[i + 1:]), kept[i]):
+            kept.pop(i)
+        else:
+            i += 1
+    return tuple(sorted(kept))
+
+
+def random_ray_sets(rng, count):
+    """Seeded ray sets in dimensions 1-4, zero rays, positive multiples and
+    negatives of drawn rays mixed in."""
+    sets = []
+    for _ in range(count):
+        dim = rng.randint(1, 4)
+        rays = [tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(rng.randint(0, dim + 2))]
+        for _ in range(rng.randint(0, 2) if rays else 0):
+            r = rng.choice(rays)
+            rays.append(tuple(rng.choice([0, 2, -1]) * x for x in r))
+        rng.shuffle(rays)
+        sets.append((dim, rays))
+    return sets
+
+
+class TestConeConstruction:
+    UNIT = {n: [tuple(int(i == j) for j in range(n)) for i in range(n)] for n in range(1, 5)}
+    FIXED = [
+        (1, [(1,), (-1,)]),
+        (2, [(1, 0), (-1, 0)]),
+        (2, [(1, 0), (-1, 0), (0, 1)]),
+        (2, [(1, 0), (0, 1), (-1, -1)]),
+        (3, [(1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 2, 0), (0, 0, 0)]),
+        (4, UNIT[4] + [(-1, 0, 0, 0)]),
+    ]
+
+    def test_matches_leave_one_out_reference(self):
+        rng = random.Random(31)
+        sets = self.FIXED + [(n, self.UNIT[n]) for n in self.UNIT] + random_ray_sets(rng, 300)
+        independent = 0
+        for dim, rays in sets:
+            kept = list(dict.fromkeys(primitive(r) for r in rays if any(r)))
+            independent += rank(kept) == len(kept)
+            assert Cone(dim, rays).rays == reference_cone_rays(dim, rays), (dim, rays)
+        assert 50 < independent < len(sets) - 50
+
+    def test_independent_rays_need_no_double_description(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return double_description(*args)
+
+        monkeypatch.setattr(polyhedral, "double_description", counted)
+        rng = random.Random(32)
+        for dim, rays in random_ray_sets(rng, 200):
+            if rank(rays) == len(rays):
+                Cone(dim, rays)
+        Cone(3, [(1, 0, 13), (6, 13, 1), (14, 1, 7)])
+        assert calls == []
+        Cone(2, [(1, 0), (0, 1), (1, 1)])
+        assert len(calls) == 3
