@@ -3,7 +3,9 @@
 Internal representation: a module vector is a dict mapping (exponent tuple,
 component index) to a nonzero Fraction. Inside `buchberger` the coefficients
 are integers instead, each basis element a primitive integer vector, and
-only the reduced basis it returns is made monic over the rationals.
+only the reduced basis it returns is made monic over the rationals. A basis
+is reduced against through its `reducer_index`, built once per basis (and
+grown with it inside `buchberger`), never once per normal form.
 Exponents may be negative in user facing Laurent vectors; all Groebner
 computations run on polynomial (nonnegative) data, with Laurent questions
 reduced to polynomial ones by unit-monomial translation and saturation by
@@ -35,9 +37,9 @@ def grevlex_key(exp):
 
 
 def base_key(term):
-    """Graded reverse lexicographic, component index as final tiebreak."""
+    """Graded reverse lexicographic, component index as final tiebreak, as one flat tuple."""
     exp, comp = term
-    return grevlex_key(exp) + (-comp,)
+    return (sum(exp), *[-e for e in reversed(exp)], -comp)
 
 
 def weight_key(w):
@@ -60,7 +62,7 @@ def elim_key(split):
 
     def key(term):
         exp, comp = term
-        return (1 if comp < split else 0,) + base_key(term)
+        return (1 if comp < split else 0, sum(exp), *[-e for e in reversed(exp)], -comp)
 
     return key
 
@@ -111,20 +113,31 @@ def _primitive(vec):
     return {t: c // content for t, c in vec.items()}
 
 
-def normal_form(vec, basis, key):
-    """Full normal form of vec against (vector, leading-term) pairs, up to a nonzero factor.
+def reducer_index(basis):
+    """The reducers of marked (vector, leading term) pairs, indexed once per basis.
 
-    Fraction free: where the reducer's leading coefficient b is not 1, the
-    work and the remainder are first scaled by b / gcd(a, b) for the
-    coefficient a being reduced, so integer input stays integer. The basis
-    must therefore be integer or monic; callers read only whether the
-    result is zero, except `reduce_basis`, which rescales it.
+    Maps each component to the list of (leading exponent, vector, leading
+    coefficient) of the elements led there, in basis order.
+    """
+    index = {}
+    for g, lt in basis:
+        index.setdefault(lt[1], []).append((lt[0], g, g[lt]))
+    return index
+
+
+def normal_form(vec, reducers, key):
+    """Full normal form of vec against a `reducer_index`, up to a nonzero factor.
+
+    Each step reduces the work's leading term by the first reducer in its
+    component whose leading exponent divides it. Fraction free: where that
+    leading coefficient b is not 1, the work and the remainder are first
+    scaled by b / gcd(a, b) for the coefficient a being reduced, so integer
+    input stays integer. The basis must therefore be integer or monic;
+    callers read only whether the result is zero, except `reduce_basis`,
+    which rescales it.
     """
     keys = key if isinstance(key, _TermKeys) else _TermKeys(key)
     order = keys.__getitem__
-    reducers = {}  # component -> (leading exponent, vector, leading coefficient)
-    for g, lt in basis:
-        reducers.setdefault(lt[1], []).append((lt[0], g, g[lt]))
     work = dict(vec)
     remainder = {}
     while work:
@@ -187,13 +200,15 @@ def buchberger(vectors, key):
     of denominators and divided by its content, S-vectors and reduction are
     fraction free, and each new element is made primitive. Each term's
     order key is computed once per run. The reduced basis is unique, so
-    none of this changes the result. For weight keys the input must be
+    none of this changes the result. The reducer index grows with the
+    basis, so no normal form rebuilds it. For weight keys the input must be
     homogeneous, otherwise reduction may not terminate.
     """
     keys = _TermKeys(key)
     order = keys.__getitem__
     basis = []
     sugars = []
+    reducers = {}  # the basis's `reducer_index`
     peers = {}  # component -> indices of the basis elements led there
     queue = []  # heap of (sugar, key of the lcm term, j, i, lcm exponent) with j < i
     pending = set()  # the (j, i) in the queue
@@ -204,6 +219,7 @@ def buchberger(vectors, key):
         basis.append((g, lt))
         sugars.append(sugar)
         exp, comp = lt
+        reducers.setdefault(comp, []).append((exp, g, g[lt]))
         for j in peers.setdefault(comp, []):
             top = tuple(map(max, basis[j][1][0], exp))
             pair_sugar = sum(top) + max(sugars[j] - sum(basis[j][1][0]), sugar - sum(exp))
@@ -227,7 +243,7 @@ def buchberger(vectors, key):
             for k in peers[comp]
         ):
             continue
-        r = normal_form(_spair(*basis[j], *basis[i], top), basis, keys)
+        r = normal_form(_spair(*basis[j], *basis[i], top), reducers, keys)
         if r:
             add(_primitive(r), sugar)
     return reduce_basis(basis, keys)
@@ -242,7 +258,10 @@ def reduce_basis(basis, keys):
 
     Minimality is one pass in order of the leading exponent's total degree,
     which puts every divisor first (a term order need not: weight keys are
-    not global); of equal leading terms the earlier element is kept.
+    not global); of equal leading terms the earlier element is kept. Each
+    element is then reduced against one index of the minimal basis with
+    that element left out: under a weight key its own leading term may
+    divide one of its tail terms.
     """
     kept = {}  # component -> leading exponents kept so far
     keep = set()
@@ -253,9 +272,13 @@ def reduce_basis(basis, keys):
             lower.append(exp)
             keep.add(i)
     minimal = [pair for i, pair in enumerate(basis) if i in keep]
+    reducers = reducer_index(minimal)
     out = []
-    for i, (g, lt) in enumerate(minimal):
-        r = normal_form(g, minimal[:i] + minimal[i + 1:], keys)
+    for g, lt in minimal:
+        row = reducers[lt[1]]
+        reducers[lt[1]] = [entry for entry in row if entry[1] is not g]
+        r = normal_form(g, reducers, keys)
+        reducers[lt[1]] = row
         lc = r[lt]
         out.append(({t: Fraction(c, lc) for t, c in r.items()}, lt))
     out.sort(key=lambda pair: keys[pair[1]], reverse=True)
@@ -274,6 +297,8 @@ def syzygy_generators(vectors, ambient_rank, nvars, modulo=()):
     """
     if not vectors:
         return []
+    if len(vectors) == 1 and not modulo and any(vectors[0].values()):
+        return []  # over a domain, a nonzero vector has no syzygies
     zero = tuple(0 for _ in range(nvars))
     aug = [dict(v) | {(zero, ambient_rank + j): Fraction(1)} for j, v in enumerate(vectors)]
     gb = buchberger(aug + list(modulo), elim_key(ambient_rank))
@@ -429,7 +454,7 @@ def _normalize_generator(vec):
 class Submodule:
     """Finitely generated submodule of a free module, polynomial generators."""
 
-    __slots__ = ("torus_rank", "rank", "generators", "_gb")
+    __slots__ = ("torus_rank", "rank", "generators", "_gb", "_reducers")
 
     def __init__(self, torus_rank, rank, generators):
         self.torus_rank = int(torus_rank)
@@ -445,6 +470,7 @@ class Submodule:
             gens.append(_normalize_generator(g))
         self.generators = tuple(sorted(gens, key=lambda v: base_key(leading_term(v.as_dict(), base_key)), reverse=True))
         self._gb = None
+        self._reducers = None
 
     def _basis(self):
         """The reduced Groebner basis under base_key, as marked pairs."""
@@ -462,7 +488,9 @@ class Submodule:
             f = ModuleVector(self.torus_rank, self.rank, f)
         if f.is_zero():
             return True
-        return not normal_form(f.as_dict(), self._basis(), base_key)
+        if self._reducers is None:
+            self._reducers = reducer_index(self._basis())
+        return not normal_form(f.as_dict(), self._reducers, base_key)
 
     def colon(self, g):
         """The submodule (self : g) = {v : g*v in self} for a scalar poly g."""
@@ -476,13 +504,17 @@ class Submodule:
         return Submodule(self.torus_rank, self.rank, [ModuleVector(self.torus_rank, self.rank, v) for v in syz])
 
     def saturate_monomials(self):
-        """Saturation with respect to the product of all torus variables."""
+        """Saturation with respect to the product of all torus variables.
+
+        A module lies inside its colon, so the colon equals it once each of
+        the colon's generators reduces to zero against it.
+        """
         n = self.torus_rank
         f = Poly(n, {tuple(1 for _ in range(n)): 1})
         current = self
         while True:
             nxt = current.colon(f)
-            if nxt.reduced_groebner_basis().key() == current.reduced_groebner_basis().key():
+            if all(current.contains(g) for g in nxt.generators):
                 return current
             current = nxt
 

@@ -178,6 +178,9 @@ def stratification_from_json(obj, where="stratification"):
     torus = _parse_int(obj["torus_rank"], where)
     rank = _parse_int(obj["rank"], where)
     support = cone_from_json(obj["support"], None, where + ".support")
+    ambient = _parse_int(obj["ambient_dim"], where) if "ambient_dim" in obj else support.ambient_dim
+    if ambient != support.ambient_dim:
+        raise InvalidInputError(f"{where}: ambient_dim {ambient} differs from the support's {support.ambient_dim}")
     module = submodule_from_json(obj["kernel"], where + ".kernel")
     cells = []
     for i, cell in enumerate(obj["cells"]):
@@ -188,6 +191,10 @@ def stratification_from_json(obj, where="stratification"):
         ]
         cells.append((cone, MarkedGB.from_vectors(torus, rank, vectors)))
     strat = PLStratification(support, cells, _validated=True)
+    tags = len(strat.strata())
+    strata = _parse_int(obj["strata"], where) if "strata" in obj else tags
+    if strata != tags:
+        raise InvalidInputError(f"{where}: strata {strata} differs from the {tags} distinct cell tags")
     return GroebnerStratification(module, support, strat)
 
 

@@ -22,6 +22,7 @@ from .groebner import (
     buchberger,
     matrix_columns,
     normal_form,
+    reducer_index,
     syzygy_generators,
 )
 from .polyhedral import Cone
@@ -223,7 +224,7 @@ def koszul_tor(presentation, seq, degree):
         for inner in range(l)
     ]
     boundaries = boundary_cols + _broadcast(acols, l, len(wedges_i))
-    bbasis = buchberger(boundaries, base_key)
+    bbasis = reducer_index(buchberger(boundaries, base_key))
 
     for z in cycles:
         if normal_form(z, bbasis, base_key):
@@ -246,12 +247,15 @@ def _tor_vanishes(presentation, seq, degree):
     It is the homology of the resolution with the variables of `seq` set to
     zero. R is free over the polynomial ring in the other variables, which
     is all the restricted maps involve, so kernel and image may be taken
-    over R: each cycle generator is tested against the image's basis.
+    over R: each cycle generator is tested against the image's basis,
+    which is built only when there is a cycle to test.
     """
     (cols, target), (next_cols, _) = presentation.resolution(degree + 1)[degree - 1:]
     n = presentation.chart.nvars
     cycles = syzygy_generators([_restrict(c, seq) for c in cols], target, n)
-    image = buchberger([_restrict(c, seq) for c in next_cols], base_key)
+    if not cycles:
+        return True
+    image = reducer_index(buchberger([_restrict(c, seq) for c in next_cols], base_key))
     return not any(normal_form(z, image, base_key) for z in cycles)
 
 

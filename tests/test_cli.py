@@ -485,6 +485,27 @@ class TestRoundTrips:
         strat = jsonio.stratification_from_json(doc)
         assert jsonio.stratification_to_json(strat) == doc
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("ambient_dim", "7", "certificate.stratification: ambient_dim 7 differs from the support's 2"),
+            ("strata", "99", "certificate.stratification: strata 99 differs from the 3 distinct cell tags"),
+        ],
+    )
+    def test_stratification_fields_must_match_the_cells(self, capsys, field, value, message):
+        """A certificate's stratification with a wrong ambient_dim or strata
+        count is invalid input, not a stratification that re-emits other bytes."""
+        from statikit import jsonio
+        from statikit.errors import InvalidInputError
+
+        code, out, _ = run_cli(["statify", fixture("example1.json")], capsys)
+        obj = json.loads(out)
+        assert obj["stratification"]["ambient_dim"] == "2" and obj["stratification"]["strata"] == "3"
+        obj["stratification"][field] = value
+        with pytest.raises(InvalidInputError) as err:
+            jsonio.certificate_from_json(obj)
+        assert str(err.value) == message
+
 
 class TestHelpText:
     @pytest.mark.parametrize("columns", ["40", "80", "200"])

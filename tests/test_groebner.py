@@ -1,3 +1,4 @@
+import heapq
 import json
 import math
 import random
@@ -30,7 +31,7 @@ from statikit import (
 )
 from statikit.jsonio import presentation_from_json
 from statikit import groebner
-from statikit.groebner import _divides, _homogenize, base_key, elim_key, leading_term, vec_axpy, weight_key
+from statikit.groebner import _TermKeys, _divides, _homogenize, _primitive, base_key, elim_key, leading_term, vec_axpy, weight_key
 from conftest import apply_matrix_to_vector
 
 
@@ -299,7 +300,7 @@ class TestIntegerKernel:
                 vec = random_integer_vector(rng, nvars, rank, 5, 4)
             if not vec:
                 continue
-            ours = groebner.normal_form(vec, basis, key)
+            ours = groebner.normal_form(vec, groebner.reducer_index(basis), key)
             theirs = normal_form(as_fractions(vec), [(as_fractions(g), lt) for g, lt in basis], key)
             assert all(type(c) is int for c in ours.values()), (trial, vec, basis)
             assert ours.keys() == theirs.keys(), (trial, vec, basis)
@@ -333,13 +334,14 @@ class TestIntegerKernel:
         seen = {"calls": 0, "non_unit": 0}
         kernel = groebner.normal_form
 
-        def spy(vec, basis, key):
+        def spy(vec, reducers, key):
             seen["calls"] += 1
-            for g, _ in basis:
+            entries = [entry for row in reducers.values() for entry in row]
+            for _, g, b in entries:
                 assert all(type(c) is int for c in g.values()), g
                 assert math.gcd(*g.values()) == 1, g
-            seen["non_unit"] += any(abs(g[lt]) != 1 for g, lt in basis)
-            return kernel(vec, basis, key)
+            seen["non_unit"] += any(abs(b) != 1 for _, _, b in entries)
+            return kernel(vec, reducers, key)
 
         monkeypatch.setattr(groebner, "normal_form", spy)
         rng = random.Random(f"large-{order}")
@@ -361,6 +363,224 @@ class TestIntegerKernel:
                 key = weight_key(tuple(rng.randint(-2, 2) for _ in range(nvars)))
             assert groebner.buchberger(vectors, key) == buchberger(vectors, key), (trial, vectors)
         assert seen["calls"] and seen["non_unit"] >= seen["calls"] // 2, seen
+
+
+# ---------------------------------------------------------------------------
+# The unindexed kernel, as it was before each basis got one reducer index:
+# every normal form regrouped its basis by component, tail reduction built
+# one for each leave-one-out slice, every syzygy computation ran Buchberger,
+# and saturation compared reduced bases. The indexed kernel must agree with
+# it exactly.
+
+
+def reference_normal_form(vec, basis, key):
+    keys = key if isinstance(key, _TermKeys) else _TermKeys(key)
+    order = keys.__getitem__
+    reducers = {}
+    for g, lt in basis:
+        reducers.setdefault(lt[1], []).append((lt[0], g, g[lt]))
+    work = dict(vec)
+    remainder = {}
+    while work:
+        t = max(work, key=order)
+        exp, comp = t
+        for lexp, g, b in reducers.get(comp, ()):
+            if _divides(lexp, exp):
+                break
+        else:
+            remainder[t] = work.pop(t)
+            continue
+        a = work[t]
+        if b == 1:
+            c = a
+        else:
+            d = math.gcd(a, b)
+            m, c = b // d, a // d
+            if m < 0:
+                m, c = -m, -c
+            if m != 1:
+                for u in work:
+                    work[u] *= m
+                for u in remainder:
+                    remainder[u] *= m
+        vec_axpy(work, -c, tuple(x - y for x, y in zip(exp, lexp)), g)
+    return remainder
+
+
+def reference_buchberger(vectors, key):
+    keys = _TermKeys(key)
+    order = keys.__getitem__
+    basis, sugars, peers, queue, pending = [], [], {}, [], set()
+
+    def add(g, sugar):
+        lt = leading_term(g, order)
+        i = len(basis)
+        basis.append((g, lt))
+        sugars.append(sugar)
+        exp, comp = lt
+        for j in peers.setdefault(comp, []):
+            top = tuple(map(max, basis[j][1][0], exp))
+            pair_sugar = sum(top) + max(sugars[j] - sum(basis[j][1][0]), sugar - sum(exp))
+            heapq.heappush(queue, (pair_sugar, keys[(top, comp)], j, i, top))
+            pending.add((j, i))
+        peers[comp].append(i)
+
+    def treated(a, b):
+        return (min(a, b), max(a, b)) not in pending
+
+    for v in vectors:
+        if v:
+            scale = math.lcm(*(c.denominator for c in v.values()))
+            add(_primitive({t: c.numerator * (scale // c.denominator) for t, c in v.items()}), max(sum(exp) for exp, _ in v))
+    while queue:
+        sugar, _, j, i, top = heapq.heappop(queue)
+        pending.discard((j, i))
+        comp = basis[i][1][1]
+        if any(
+            k != i and k != j and _divides(basis[k][1][0], top) and treated(i, k) and treated(j, k)
+            for k in peers[comp]
+        ):
+            continue
+        r = reference_normal_form(groebner._spair(*basis[j], *basis[i], top), basis, keys)
+        if r:
+            add(_primitive(r), sugar)
+    return reference_reduce_basis(basis, keys)
+
+
+def reference_reduce_basis(basis, keys):
+    kept = {}
+    keep = set()
+    for i in sorted(range(len(basis)), key=lambda i: sum(basis[i][1][0])):
+        exp, comp = basis[i][1]
+        lower = kept.setdefault(comp, [])
+        if not any(_divides(e, exp) for e in lower):
+            lower.append(exp)
+            keep.add(i)
+    minimal = [pair for i, pair in enumerate(basis) if i in keep]
+    out = []
+    for i, (g, lt) in enumerate(minimal):
+        r = reference_normal_form(g, minimal[:i] + minimal[i + 1:], keys)
+        lc = r[lt]
+        out.append(({t: Fraction(c, lc) for t, c in r.items()}, lt))
+    out.sort(key=lambda pair: keys[pair[1]], reverse=True)
+    return out
+
+
+def reference_syzygy_generators(vectors, ambient_rank, nvars, modulo=()):
+    if not vectors:
+        return []
+    zero = tuple(0 for _ in range(nvars))
+    aug = [dict(v) | {(zero, ambient_rank + j): Fraction(1)} for j, v in enumerate(vectors)]
+    gb = reference_buchberger(aug + list(modulo), elim_key(ambient_rank))
+    return [{(exp, comp - ambient_rank): c for (exp, comp), c in g.items()} for g, lt in gb if lt[1] >= ambient_rank]
+
+
+def own_tail_divisible(g, lt):
+    """Whether g's leading exponent divides the exponent of another term led in its component."""
+    return any(t != lt and t[1] == lt[1] and _divides(lt[0], t[0]) for t in g)
+
+
+class TestIndexedKernel:
+    @pytest.mark.parametrize("order", ["base", "elim", "weight"])
+    def test_buchberger_matches_the_unindexed_kernel(self, order):
+        """Seeded homogenized modules of rank 1-3 give the same marked bases, term for term."""
+        rng = random.Random(f"indexed-{order}")
+        coeffs = [1, -1, 2, -3, 5, 12, Fraction(1, 2), Fraction(-5, 3)]
+        for trial in range(50):
+            nvars, rank = rng.choice((2, 3)), rng.choice((1, 2, 3))
+            vectors = []
+            for _ in range(rng.randint(1, 4)):
+                vec = {
+                    (tuple(rng.randint(0, 2) for _ in range(nvars)), rng.randrange(rank)): Fraction(rng.choice(coeffs))
+                    for _ in range(rng.randint(1, 3))
+                }
+                vectors.append(_homogenize(vec, nvars))
+            if order == "base":
+                key = base_key
+            elif order == "elim":
+                key = elim_key(rng.randint(1, max(1, rank - 1)))
+            else:
+                key = weight_key(tuple(rng.randint(-2, 2) for _ in range(nvars)))
+            assert groebner.buchberger(vectors, key) == reference_buchberger(vectors, key), (trial, vectors)
+
+    def test_weight_keys_on_inhomogeneous_vectors(self):
+        """The inputs of `test_buchberger_returns_monic_fractions`, drawn
+        from the same seed: a weight key is not a global order there, and
+        some element's leading exponent divides one of its own tail terms,
+        so tail reduction must leave the element itself out. (Weight keys
+        need not terminate on inhomogeneous input; these inputs do.)"""
+        rng = random.Random("monic")
+        self_divisible = 0
+        for trial in range(40):
+            nvars, rank = rng.choice((2, 3)), rng.choice((1, 2))
+            vectors = [_homogenize(random_vector(rng, nvars, rank, 3, 2), nvars) for _ in range(rng.randint(1, 3))]
+            vectors += [as_fractions(random_integer_vector(rng, nvars + 1, rank, 2, 2))]
+            key = weight_key(tuple(rng.randint(-2, 2) for _ in range(nvars))) if rng.random() < 0.5 else base_key
+            ours = groebner.buchberger(vectors, key)
+            assert ours == reference_buchberger(vectors, key), (trial, vectors)
+            self_divisible += any(own_tail_divisible(g, lt) for g, lt in ours)
+        assert self_divisible >= 2, self_divisible
+
+    @pytest.mark.parametrize("order", ["base", "elim"])
+    def test_normal_form_matches_the_unindexed_kernel(self, order):
+        rng = random.Random(f"indexed-normal-form-{order}")
+        key = base_key if order == "base" else elim_key(1)
+        for trial in range(150):
+            nvars, rank = rng.choice((2, 3)), rng.choice((1, 2))
+            basis = []
+            for _ in range(rng.randint(1, 4)):
+                g = primitive_part(random_integer_vector(rng, nvars, rank, 3, 2))
+                basis.append((g, leading_term(g, key)))
+            vec = random_integer_vector(rng, nvars, rank, 5, 4)
+            assert groebner.normal_form(vec, groebner.reducer_index(basis), key) == reference_normal_form(vec, basis, key), trial
+
+    def test_one_vector_has_no_syzygies_without_buchberger(self, monkeypatch):
+        """A nonzero vector has no syzygies, and none are computed; a zero
+        vector gives e_1 and, with a `modulo`, the elimination runs as before."""
+        rng = random.Random("one-vector")
+        cases = []
+        for _ in range(30):
+            nvars = rng.choice((2, 3))
+            v = random_vector(rng, nvars, 2, 3, 2)
+            modulo = [random_vector(rng, nvars, 2, 3, 2) for _ in range(rng.randint(1, 3))]
+            cases.append((nvars, v, modulo, reference_syzygy_generators([v], 2, nvars, modulo)))
+            assert reference_syzygy_generators([v], 2, nvars) == []
+        calls = []
+        kernel = groebner.buchberger
+        monkeypatch.setattr(groebner, "buchberger", lambda *args: calls.append(args) or kernel(*args))
+        for nvars, v, _, _ in cases:
+            assert groebner.syzygy_generators([v], 2, nvars) == []
+        assert calls == []
+        assert groebner.syzygy_generators([{}], 2, 2) == [{((0, 0), 0): Fraction(1)}]
+        for nvars, v, modulo, want in cases:
+            assert groebner.syzygy_generators([v], 2, nvars, modulo) == want, (v, modulo)
+        assert len(calls) == 1 + len(cases) and sum(bool(want) for *_, want in cases) >= 20
+
+    def test_saturation_stops_where_the_reduced_bases_agree(self):
+        """Along each colon chain, the colon's generators all reduce to zero
+        against the module exactly when the two reduced bases are equal."""
+        rng = random.Random("saturation")
+        steps = 0
+        for trial in range(40):
+            nvars, rank = rng.choice((2, 3)), rng.choice((1, 2))
+            f = Poly(nvars, {tuple(1 for _ in range(nvars)): 1})
+            gens = []
+            for _ in range(rng.randint(1, 3)):
+                vec = random_vector(rng, nvars, rank, 2, 2)
+                shift = tuple(rng.randint(0, 2) for _ in range(nvars))
+                gens.append(ModuleVector(nvars, rank, {(tuple(map(sum, zip(e, shift))), c): a for (e, c), a in vec.items()}))
+            current = Submodule(nvars, rank, gens)
+            saturated = current.saturate_monomials()
+            while True:
+                nxt = current.colon(f)
+                equal = nxt.reduced_groebner_basis().key() == current.reduced_groebner_basis().key()
+                assert all(current.contains(g) for g in nxt.generators) == equal, (trial, gens)
+                if equal:
+                    break
+                current = nxt
+                steps += 1
+            assert saturated.reduced_groebner_basis() == current.reduced_groebner_basis(), (trial, gens)
+        assert steps >= 20, steps
 
 
 class TestInitialModule:
@@ -612,3 +832,24 @@ class TestStratificationPointwise:
         doc = json.loads((Path(__file__).parent / "fixtures" / "example2.json").read_text())
         p = presentation_from_json(doc)
         assert self.check(p.kernel(), p.chart.cone, random.Random(2)) == 20
+
+
+def test_example_2_statify_makes_312_buchberger_calls(monkeypatch, capsys):
+    """The number of Groebner bases one `statify` of Example 2 builds is
+    deterministic: 397 before each basis was indexed once and the bases that
+    nothing reads were dropped."""
+    from statikit import staticity
+    from statikit.cli import main
+
+    calls = []
+    kernel = groebner.buchberger
+
+    def counted(*args):
+        calls.append(None)
+        return kernel(*args)
+
+    monkeypatch.setattr(groebner, "buchberger", counted)
+    monkeypatch.setattr(staticity, "buchberger", counted)
+    assert main(["statify", str(Path(__file__).parent / "fixtures" / "example2.json")]) == 0
+    assert json.loads(capsys.readouterr().out)["all_static"] is True
+    assert len(calls) == 312
