@@ -24,7 +24,7 @@ from math import gcd, lcm
 from operator import add, le, sub
 
 from .errors import UnsupportedSupportError, ZeroVectorError
-from .linalg import dot, lex_positive, primitive, vneg
+from .linalg import dot, lex_positive, primitive, rank
 from .polyhedral import Cone, Fan, PLStratification, _arrangement_fan, _tag_key
 
 
@@ -662,53 +662,83 @@ class GroebnerStratification:
 
 
 def _glue(ambient_dim, ci, cj):
-    """(wall, union) when two cells meet in a common facet and their union is
-    convex with that facet as its wall; otherwise None. The rays of a common
-    face are rays of both."""
-    if len(set(ci.rays) & set(cj.rays)) < ci.dim - 1:
+    """(wall, union) when two cells of equal dimension meet in a common facet
+    and their union is convex with that facet as its wall; otherwise None.
+
+    Only facet incidences are read. The cells span one space when cj's rays
+    satisfy ci's span equations. If ci's facet on h = 0 has the ray set W of
+    a facet of cj and cj lies in h <= 0, the cells meet in cone(W), the
+    wall; cells of a stratification have disjoint relative interiors, so two
+    that share a facet lie on its two sides. The union is convex exactly
+    when cj lies in ci's other facet halfspaces: a segment from ci to cj
+    then crosses h = 0 inside cone(W). Its facet normals are both cells' but
+    h and cj's normal on W, and its extreme rays are the cells' rays at
+    which the span equations and the tight facet normals have rank n - 1.
+    """
+    if any(dot(s, r) for s in ci.span_normals for r in cj.rays):
         return None
-    w = ci.intersection(cj)
-    if w.dim != ci.dim - 1 or w not in ci.faces() or w not in cj.faces():
+    walls = dict(zip(cj._facet_rays(), cj.facet_normals))
+    h, w = next(((h, w) for h, w in zip(ci.facet_normals, ci._facet_rays()) if w in walls), (None, None))
+    if h is None or any(dot(h, r) > 0 for r in cj.rays):
         return None
-    h = next((a for a in ci.facet_normals if all(dot(a, r) == 0 for r in w.rays)), None)
-    if h is None:
+    rest = [f for f in ci.facet_normals if f != h]
+    if any(dot(f, r) < 0 for f in rest for r in cj.rays):
         return None
-    union = Cone(ambient_dim, ci.rays + cj.rays)
-    if union.dim != ci.dim or not (ci.contains_cone(union.cut([h])) and cj.contains_cone(union.cut([vneg(h)]))):
-        return None
-    return w, union
+    facets = tuple(sorted(set(rest + [f for f in cj.facet_normals if f != walls[w]])))
+    rays = sorted(set(ci.rays + cj.rays))
+    union = Cone._of_extreme_rays(ambient_dim, tuple(
+        r for r in rays if rank(list(ci.span_normals) + [f for f in facets if dot(f, r) == 0]) == ambient_dim - 1
+    ))
+    if not ci.span_normals:
+        # primitive facet normals are unique only for a full-dimensional cone
+        union._dual = ((), facets)
+    return Cone._of_extreme_rays(ambient_dim, tuple(r for r in ci.rays if r in w)), union
 
 
 def _merge_cells(ambient_dim, cells):
     """Greedy convex merging of equal-tag cells glued along equal-tag walls.
 
-    Pairs are scanned in order of their sorted cell keys, and the first that
-    glues merges. Whether two cells glue depends on them alone, so each pair
-    is tested once; the wall is looked up every time, as a merge can remove it.
+    The relative interiors of the cells partition the support. Two cells
+    glue only across a facet of both, so each live cell is paired only with
+    the later cells of its dimension and tag that share the ray set of one
+    of its facets. Pairs are scanned in order of their cell keys, from the
+    first after every merge, and the first that glues along a live wall of
+    the same tag merges. Whether two cells glue depends on them alone, so
+    each pair is tested once.
     """
     tag_ids = {}
-    cells = [(c, t, (c.dim, tag_ids.setdefault(_tag_key(t), len(tag_ids)))) for c, t in sorted(cells, key=lambda ct: ct[0].key())]
+    live = {}  # key -> (cone, tag, (dimension, tag id), facet ray sets)
+    peers = {}  # ((dimension, tag id), facet ray set) -> keys of the live cells with that facet
+
+    def put(cone, tag, group):
+        facets = cone._facet_rays()
+        live[cone.key()] = (cone, tag, group, facets)
+        for f in facets:
+            peers.setdefault((group, f), set()).add(cone.key())
+
+    for c, t in cells:
+        put(c, t, (c.dim, tag_ids.setdefault(_tag_key(t), len(tag_ids))))
     glued = {}
     while True:
-        peers = {}  # the positions of the cells of each dimension and tag
-        for k, (_, _, group) in enumerate(cells):
-            peers.setdefault(group, []).append(k)
-        for i, j in ((i, j) for i, (_, _, group) in enumerate(cells) for j in peers[group] if j > i):
-            (ci, ti, group), cj = cells[i], cells[j][0]
-            pair = (ci.key(), cj.key())
+        pairs = ((ki, kj) for ki in sorted(live) for kj in sorted({k for f in live[ki][3] for k in peers[live[ki][2], f] if k > ki}))
+        for pair in pairs:
+            (ci, ti, group, _), cj = live[pair[0]], live[pair[1]][0]
             if pair not in glued:
                 glued[pair] = _glue(ambient_dim, ci, cj)
             if glued[pair] is None:
                 continue
             w, union = glued[pair]
-            wall = next((g for c, _, g in cells if c.key() == w.key()), None)
-            if wall is None or wall[1] != group[1]:
+            wall = live.get(w.key())
+            if wall is None or wall[2][1] != group[1]:
                 continue
-            cells = [cell for k, cell in enumerate(cells) if k not in (i, j) and cell[0].key() != w.key()]
-            cells = sorted(cells + [(union, ti, group)], key=lambda cell: cell[0].key())
+            for k in (*pair, w.key()):
+                _, _, g, facets = live.pop(k)
+                for f in facets:
+                    peers[g, f].discard(k)
+            put(union, ti, group)
             break
         else:
-            return [(c, t) for c, t, _ in cells]
+            return [live[k][:2] for k in sorted(live)]
 
 
 def groebner_stratification(module, support):

@@ -200,7 +200,7 @@ class Cone:
         if self._faces is None:
             if not self.is_pointed():
                 raise NotPointedError("face enumeration requires a pointed cone")
-            facets = [frozenset(r for r in self.rays if dot(a, r) == 0) for a in self.facet_normals]
+            facets = self._facet_rays()
             found = {frozenset(self.rays)}
             todo = list(found)
             while todo:
@@ -213,6 +213,10 @@ class Cone:
             keys = sorted(tuple(r for r in self.rays if r in face) for face in found)
             self._faces = tuple(self if k == self.rays else Cone._of_extreme_rays(self.ambient_dim, k) for k in keys)
         return self._faces
+
+    def _facet_rays(self):
+        """The set of rays on each facet, in the order of the facet normals."""
+        return [frozenset(r for r in self.rays if dot(a, r) == 0) for a in self.facet_normals]
 
     def cut(self, normals):
         """The part of the cone where <a, x> >= 0 for every a in normals.

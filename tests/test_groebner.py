@@ -2,6 +2,7 @@ import heapq
 import json
 import math
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -30,7 +31,9 @@ from statikit import (
     syzygies,
 )
 from statikit.jsonio import presentation_from_json
-from statikit import groebner
+from statikit import groebner, polyhedral
+from statikit.linalg import dot, vneg
+from statikit.polyhedral import _tag_key
 from statikit.groebner import _TermKeys, _divides, _homogenize, _primitive, base_key, elim_key, leading_term, vec_axpy, weight_key
 from conftest import apply_matrix_to_vector
 
@@ -828,6 +831,17 @@ class TestStratificationPointwise:
         cells = [self.check(random_kernel(rng, nvars), orthant(nvars), rng) for nvars in [2] * 20 + [3] * 19]
         assert sum(c > 1 for c in cells) >= 20
 
+    def test_slowest_seeded_kernel(self):
+        """Draw #75 of 60 kernels in 2 variables, then 60 in 3, from Random(0):
+        the slowest of them to stratify. Its merge made 74,351 `_glue` tests
+        while every merge rescanned all pairs of a group (8.2 s on a 2-core
+        box), and 3,078 when pairs must share a facet (1.4 s)."""
+        rng = random.Random(0)
+        kernel = [random_kernel(rng, nvars) for nvars in [2] * 60 + [3] * 16][75]
+        start = time.perf_counter()
+        assert self.check(kernel, orthant(3), rng) == 54
+        assert time.perf_counter() - start < 30
+
     def test_example_2_kernel(self):
         doc = json.loads((Path(__file__).parent / "fixtures" / "example2.json").read_text())
         p = presentation_from_json(doc)
@@ -853,3 +867,113 @@ def test_example_2_statify_makes_312_buchberger_calls(monkeypatch, capsys):
     assert main(["statify", str(Path(__file__).parent / "fixtures" / "example2.json")]) == 0
     assert json.loads(capsys.readouterr().out)["all_static"] is True
     assert len(calls) == 312
+
+
+def test_example_2_statify_makes_315_double_descriptions_and_47_glue_tests(monkeypatch, capsys):
+    """Gluing two cells reads their facet incidences and runs no double
+    description, and only cells that share a facet are tested: 562 double
+    descriptions and 69 `_glue` tests before."""
+    from statikit.cli import main
+
+    calls = {"double_description": 0, "_glue": 0}
+
+    def counting(module, name):
+        kernel = getattr(module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    counting(polyhedral, "double_description")
+    counting(groebner, "_glue")
+    assert main(["statify", str(Path(__file__).parent / "fixtures" / "example2.json")]) == 0
+    assert json.loads(capsys.readouterr().out)["all_static"] is True
+    assert calls == {"double_description": 315, "_glue": 47}
+
+
+def reference_glue(ambient_dim, ci, cj):
+    """`_glue` by an intersection, a leave-one-out `Cone` and two cuts, as it
+    was before it read facet incidences."""
+    if len(set(ci.rays) & set(cj.rays)) < ci.dim - 1:
+        return None
+    w = ci.intersection(cj)
+    if w.dim != ci.dim - 1 or w not in ci.faces() or w not in cj.faces():
+        return None
+    h = next((a for a in ci.facet_normals if all(dot(a, r) == 0 for r in w.rays)), None)
+    if h is None:
+        return None
+    union = Cone(ambient_dim, ci.rays + cj.rays)
+    if union.dim != ci.dim or not (ci.contains_cone(union.cut([h])) and cj.contains_cone(union.cut([vneg(h)]))):
+        return None
+    return w, union
+
+
+def reference_merge_cells(ambient_dim, cells):
+    """`_merge_cells` as it was when it tested every pair of a group."""
+    tag_ids = {}
+    cells = [(c, t, (c.dim, tag_ids.setdefault(_tag_key(t), len(tag_ids)))) for c, t in sorted(cells, key=lambda ct: ct[0].key())]
+    glued = {}
+    while True:
+        peers = {}
+        for k, (_, _, group) in enumerate(cells):
+            peers.setdefault(group, []).append(k)
+        for i, j in ((i, j) for i, (_, _, group) in enumerate(cells) for j in peers[group] if j > i):
+            (ci, ti, group), cj = cells[i], cells[j][0]
+            pair = (ci.key(), cj.key())
+            if pair not in glued:
+                glued[pair] = reference_glue(ambient_dim, ci, cj)
+            if glued[pair] is None:
+                continue
+            w, union = glued[pair]
+            wall = next((g for c, _, g in cells if c.key() == w.key()), None)
+            if wall is None or wall[1] != group[1]:
+                continue
+            cells = [cell for k, cell in enumerate(cells) if k not in (i, j) and cell[0].key() != w.key()]
+            cells = sorted(cells + [(union, ti, group)], key=lambda cell: cell[0].key())
+            break
+        else:
+            return [(c, t) for c, t, _ in cells]
+
+
+class TestMergeDifferential:
+    """The facet-incidence merge against the double-description one it
+    replaced, on the cells of seeded random kernels."""
+
+    @staticmethod
+    def glue_summary(glued):
+        if glued is None:
+            return None
+        w, union = glued
+        return w.key(), union.key(), union.span_normals, union.facet_normals
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_reference(self, seed, monkeypatch):
+        merges, tests = [], []
+        merge, glue = groebner._merge_cells, groebner._glue
+
+        def recorded_merge(n, cells):
+            merged = merge(n, cells)
+            merges.append((n, cells, merged))
+            return merged
+
+        def recorded_glue(n, ci, cj):
+            glued = glue(n, ci, cj)
+            tests.append((n, ci, cj, glued))
+            return glued
+
+        monkeypatch.setattr(groebner, "_merge_cells", recorded_merge)
+        monkeypatch.setattr(groebner, "_glue", recorded_glue)
+        rng = random.Random(seed)
+        for nvars in [2] * 20 + [3] * 12:
+            groebner_stratification(random_kernel(rng, nvars), orthant(nvars))
+        for n, cells, merged in merges:
+            expected = reference_merge_cells(n, cells)
+            assert [(c.key(), _tag_key(t)) for c, t in merged] == [(c.key(), _tag_key(t)) for c, t in sorted(expected, key=lambda ct: ct[0].key())]
+        kinds = {None: 0, "full": 0, "lower": 0}
+        for n, ci, cj, glued in tests:
+            assert self.glue_summary(glued) == self.glue_summary(reference_glue(n, ci, cj)), (ci, cj)
+            kinds[None if glued is None else "full" if ci.dim == n else "lower"] += 1
+        assert sum(len(cells) > len(merged) for _, cells, merged in merges) >= 5
+        assert min(kinds.values()) >= 100, kinds
