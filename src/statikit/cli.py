@@ -77,6 +77,11 @@ GRAPH = {
     "required": ["vertices", "edges"],
 }
 DIVISOR = {"type": "array", "items": INT_STR}
+DIVISOR_PAIR = {
+    "type": "object",
+    "properties": {"graph": GRAPH, "d1": DIVISOR, "d2": DIVISOR},
+    "required": ["graph", "d1", "d2"],
+}
 
 SCHEMAS = {
     "stratify": {
@@ -97,16 +102,8 @@ SCHEMAS = {
         "required": ["presentation", "fan"],
     },
     "jacobian": GRAPH,
-    "chip-equiv": {
-        "type": "object",
-        "properties": {"graph": GRAPH, "d1": DIVISOR, "d2": DIVISOR},
-        "required": ["graph", "d1", "d2"],
-    },
-    "firing-script": {
-        "type": "object",
-        "properties": {"graph": GRAPH, "d1": DIVISOR, "d2": DIVISOR},
-        "required": ["graph", "d1", "d2"],
-    },
+    "chip-equiv": DIVISOR_PAIR,
+    "firing-script": DIVISOR_PAIR,
 }
 
 

@@ -32,10 +32,6 @@ from .polyhedral import Cone, Fan, PLStratification, _arrangement_fan, _tag_key
 # term orders
 
 
-def grevlex_key(exp):
-    return (sum(exp), tuple(-e for e in reversed(exp)))
-
-
 def base_key(term):
     """Graded reverse lexicographic, component index as final tiebreak, as one flat tuple."""
     exp, comp = term
@@ -333,7 +329,7 @@ class Poly:
             c = Fraction(c)
             if c:
                 clean[exp] = clean.get(exp, Fraction(0)) + c
-        self.terms = tuple(sorted(((e, c) for e, c in clean.items() if c), key=lambda ec: grevlex_key(ec[0]), reverse=True))
+        self.terms = tuple(sorted(((e, c) for e, c in clean.items() if c), key=lambda ec: base_key((ec[0], 0)), reverse=True))
 
     def as_dict(self):
         return dict(self.terms)

@@ -83,91 +83,69 @@ def rank(rows):
 def smith_invariant_factors(rows):
     """Invariant factors of an integer matrix.
 
-    Unit pivots go first, on a sparse row map: a row with a +-1 entry clears
-    that entry's column from every other row, and then row and column leave
-    with an invariant factor 1, since clearing the rest of the row takes
-    column operations that touch no other row. The shortest such row goes
-    first, to keep fill-in low. The core left without a unit entry takes
-    dense pivoting: smallest nonzero absolute value, ties by position.
-    Returns the positive diagonal entries d_1 | d_2 | ... of the Smith
-    normal form (zeros dropped).
+    One pivot loop on a sparse row map. A fresh pivot p is a +-1 in the
+    shortest row that has one, else the least entry of the shortest row.
+    Row operations reduce p's column modulo p; once that column is clear,
+    column operations, which touch no other row, reduce p's row, so a unit
+    pivot clears its row outright. A remainder is smaller than |p|, so the
+    least one is the next pivot, and a pivot left alone in its row and
+    column is a diagonal entry. Returns the positive diagonal entries
+    d_1 | d_2 | ... of the Smith normal form (zeros dropped).
     """
-    sparse = [{j: x for j, x in enumerate(map(int, r)) if x} for r in rows]
+    live = [{j: x for j, x in enumerate(map(int, row)) if x} for row in rows]
     units = 0
-    while True:
-        pick = None
-        for i, r in enumerate(sparse):
-            if pick is None or len(r) < len(sparse[pick[0]]):
-                j = next((j for j, x in r.items() if x in (1, -1)), None)
-                if j is not None:
-                    pick = i, j
+    diag = []
+    pick = None
+    # a zero row stays, and adds no factor
+    while any(live):
         if pick is None:
-            break
-        i, j = pick
-        pivot_row = sparse.pop(i)
-        sign = pivot_row.pop(j)
-        for r in sparse:
-            f = r.pop(j, 0) * sign
-            if f:
-                for k, x in pivot_row.items():
-                    y = r.get(k, 0) - f * x
-                    if y:
-                        r[k] = y
-                    else:
-                        del r[k]
-        units += 1
-    # zero rows and columns add no invariant factor
-    cols = sorted({j for r in sparse for j in r})
-    m = [[r.get(j, 0) for j in cols] for r in sparse if r]
-    if not m:
-        return [1] * units
-    rows_n, cols_n = len(m), len(m[0])
-    t = 0
-    size = min(rows_n, cols_n)
-    while t < size:
-        pivot = None
-        best = None
-        for i in range(t, rows_n):
-            for j in range(t, cols_n):
-                v = abs(m[i][j])
-                if v and (best is None or v < best):
-                    best = v
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        m[t], m[pi] = m[pi], m[t]
-        for row in m:
-            row[t], row[pj] = row[pj], row[t]
-        # clear row and column t; restart the sweep whenever a remainder
-        # smaller than the pivot appears
-        while True:
-            restart = False
-            for i in range(t + 1, rows_n):
-                if m[i][t]:
-                    q = m[i][t] // m[t][t]
-                    for j in range(t, cols_n):
-                        m[i][j] -= q * m[t][j]
-                    if m[i][t]:
-                        m[t], m[i] = m[i], m[t]
-                        restart = True
-                        break
-            if restart:
-                continue
-            for j in range(t + 1, cols_n):
-                if m[t][j]:
-                    q = m[t][j] // m[t][t]
-                    for i in range(t, rows_n):
-                        m[i][j] -= q * m[i][t]
-                    if m[t][j]:
-                        for i in range(rows_n):
-                            m[i][t], m[i][j] = m[i][j], m[i][t]
-                        restart = True
-                        break
-            if not restart:
-                break
-        t += 1
-    diag = [abs(m[i][i]) for i in range(min(rows_n, cols_n)) if m[i][i] != 0]
+            for r in live:
+                if pick is None or len(r) < len(pick[0]):
+                    j = next((j for j, x in r.items() if x in (1, -1)), None)
+                    if j is not None:
+                        pick = r, j
+            if pick is None:
+                short = min((r for r in live if r), key=len)
+                pick = short, min(short, key=lambda j: abs(short[j]))
+        row, j = pick
+        pick = None
+        p = row.pop(j)
+        for r in live:
+            x = r.pop(j, 0)
+            if x:
+                # a fresh non-unit pivot may exceed x, and then x stays
+                q = x // p
+                if q:
+                    for k, y in row.items():
+                        z = r.get(k, 0) - q * y
+                        if z:
+                            r[k] = z
+                        else:
+                            del r[k]
+                    x -= q * p
+                if x:
+                    r[j] = x
+                    if pick is None or abs(x) < abs(pick[0][j]):
+                        pick = r, j
+        if pick is None and p not in (1, -1):
+            for k in list(row):
+                y = row[k] % p
+                if y:
+                    row[k] = y
+                    if pick is None or abs(y) < abs(row[pick[1]]):
+                        pick = row, k
+                else:
+                    del row[k]
+        if pick is None:
+            # the pivot is alone in its row and column
+            if p in (1, -1):
+                units += 1
+            else:
+                diag.append(abs(p))
+            # an equal row may leave in its place, which leaves the same rows
+            live.remove(row)
+        else:
+            row[j] = p
     # enforce divisibility chain
     changed = True
     while changed:

@@ -341,17 +341,28 @@ def star_subdivision(fan, point):
         raise ValueError("cannot subdivide at the origin")
     if not fan.support.contains(r):
         raise RayOutsideSupportError(f"{r} is outside the fan support")
-    new_max = []
-    for c in fan.max_cones:
+    return Fan(fan.support, _star(fan.max_cones, r))
+
+
+def _star(max_cones, r):
+    """The maximal cones of a star subdivision at r, sorted like a fan's.
+
+    A cone through r gives way to r joined with each of its facets that
+    misses r, since every face missing r lies in such a facet. r lies in the
+    cone but not in the facet, and span(facet) meets the cone in the facet,
+    so r is outside span(facet): the rays of the facet and r are all extreme.
+    """
+    out = []
+    for c in max_cones:
         if c.contains(r):
-            # r lies in c but not in its face f, and span(f) meets c in f,
-            # so r is outside span(f): the rays of f and r are all extreme
-            new_max.extend(
-                Cone._of_extreme_rays(fan.ambient_dim, tuple(sorted(f.rays + (r,)))) for f in c.faces() if not f.contains(r)
+            out.extend(
+                Cone._of_extreme_rays(c.ambient_dim, tuple(sorted(f | {r})))
+                for a, f in zip(c.facet_normals, c._facet_rays())
+                if dot(a, r)
             )
         else:
-            new_max.append(c)
-    return Fan(fan.support, new_max)
+            out.append(c)
+    return tuple(sorted(out, key=Cone.key))
 
 
 class PLStratification:
@@ -564,6 +575,8 @@ def stratification_to_smooth_fan(stratification):
     resolved by star subdivisions at Hilbert basis elements of smallest
     coordinate sum (ties lexicographic); a non-simplicial cone whose Hilbert
     basis adds no ray is subdivided at its first ray that changes the fan.
+    The subdivisions run on the sorted maximal cones, each cone is tested
+    for smoothness once, and one fan is built at the end.
     """
     support = stratification.support
     closures = [c for c, _ in stratification.cells]
@@ -573,18 +586,22 @@ def stratification_to_smooth_fan(stratification):
         if not refines(fan, stratification):
             raise ValueError("arrangement fan fails to refine the stratification")
 
+    max_cones = fan.max_cones
+    smooth = set()  # the ray sets of the cones found smooth
     while True:
-        bad = next((c for c in fan.max_cones if not c.is_smooth()), None)
+        bad = next((c for c in max_cones if c.rays not in smooth and not c.is_smooth()), None)
         if bad is None:
-            return fan
-        existing = fan.ray_set
-        # a new Hilbert point always changes the fan; else triangulate at a
-        # ray, but every ray is tried, since at the apex of a pyramid over a
-        # non-simplicial base the pyramid comes back (from dimension 4)
-        for p in chain((h for h in _hilbert_points(bad) if h not in existing), bad.rays):
-            candidate = star_subdivision(fan, p)
-            if candidate.key() != fan.key():
-                fan = candidate
+            return fan if max_cones is fan.max_cones else Fan(support, max_cones)
+        # the cones before bad, in the order of their rays, were found smooth
+        smooth.update(c.rays for c in max_cones if c.rays < bad.rays)
+        # a fan ray in bad is a ray of bad, so a Hilbert point that is not
+        # always changes the fan; else triangulate at a ray, but every ray
+        # is tried, since at the apex of a pyramid over a non-simplicial
+        # base the pyramid comes back (from dimension 4)
+        for p in chain((h for h in _hilbert_points(bad) if h not in bad.rays), bad.rays):
+            candidate = _star(max_cones, p)
+            if candidate != max_cones:
+                max_cones = candidate
                 break
         else:
             raise ValueError("unable to subdivide non-smooth cone")

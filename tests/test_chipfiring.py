@@ -116,8 +116,8 @@ class TestJacobian:
     def test_matches_sympy_snf_oracle(self):
         """Small random graphs, and 20-40-vertex multigraphs whose edges are
         doubled or tripled at random. Those have at least two invariant
-        factors above 1, so peeling unit pivots, which only gives factors 1,
-        leaves a core of at least 2 x 2 for the dense pivoting. sympy's Smith
+        factors above 1, so unit pivots, which only give factors 1, never
+        finish the Smith form and non-unit pivots must run. sympy's Smith
         form takes minutes on about one such matrix in twenty (its entries
         grow); the twelve drawn from seed 12 take 0.1 s."""
         rng = random.Random(9)
