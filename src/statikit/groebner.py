@@ -769,36 +769,30 @@ def groebner_stratification(module, support):
             memo[v] = buchberger(hom, weight_key(v))
         return memo[v]
 
+    # Leading terms minimize the weight, so <v, b - a> >= 0 at a cone's sample
+    # v (the sum of its rays) for each term b of an element led by a. A ray
+    # making b - a negative puts that hyperplane through the cone, which no
+    # hyperplane of the arrangement does, so every normal found is new, and
+    # the cones of the last round all sit in their samples' Groebner cones.
     while True:
         fan = _arrangement_fan(support, sorted(normals))
-        new_normals = set()
-        celldata = []
+        fresh = set()
         for cone in fan.cones:
-            v = cone.interior_point()
-            gb = sample_gb(v)
-            violated = False
-            for g, lt in gb:
+            for g, lt in sample_gb(cone.interior_point()):
                 a = lt[0][:n]
                 for t in g:
-                    b = t[0][:n]
-                    nvec = tuple(x - y for x, y in zip(b, a))
-                    if not any(nvec):
-                        continue
+                    nvec = tuple(x - y for x, y in zip(t[0][:n], a))
                     if any(dot(r, nvec) < 0 for r in cone.rays):
-                        violated = True
-                        new_normals.add(lex_positive(primitive(nvec)))
-            if not violated:
-                celldata.append((cone, v, gb))
-        fresh = new_normals - normals
-        if fresh:
-            normals |= fresh
-            continue
-        break
+                        fresh.add(lex_positive(primitive(nvec)))
+        if not fresh:
+            break
+        normals |= fresh
 
     cells = []
     tag_cache = {}
-    for cone, v, gb in celldata:
-        ins = tuple(sorted(_canonical_terms(_initial_part(g, v)) for g, _ in gb))
+    for cone in fan.cones:
+        v = cone.interior_point()
+        ins = tuple(sorted(_canonical_terms(_initial_part(g, v)) for g, _ in sample_gb(v)))
         if ins not in tag_cache:
             tag_cache[ins] = _laurent_canonical(n, module.rank, [dict(t) for t in ins])
         cells.append((cone, tag_cache[ins]))

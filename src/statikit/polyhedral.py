@@ -281,10 +281,6 @@ class Fan:
             if not self.support.contains_cone(c):
                 raise ValueError("fan cone outside the declared support")
 
-    @property
-    def ray_set(self):
-        return {r for c in self.max_cones for r in c.rays}
-
     def key(self):
         return (self.support.key(), tuple(c.key() for c in self.cones))
 

@@ -6,7 +6,9 @@ variable. Tor against the quotient by a face's complementary variables is
 decided from one free resolution of the module per presentation: by balance
 of Tor it is the homology of the resolution with those variables set to
 zero. Koszul homology computes the same Tor and is run only on a face where
-it does not vanish, to give the witness.
+it does not vanish, to give the witness. Both read homology through one
+test, the first cycle generator that is not a boundary; degree 0 is no
+special case, its cycles being the syzygies of zero columns.
 """
 
 from collections import namedtuple
@@ -25,7 +27,7 @@ from .groebner import (
     reducer_index,
     syzygy_generators,
 )
-from .polyhedral import Cone
+from .polyhedral import Cone, orthant
 
 
 class SmoothChart:
@@ -61,8 +63,6 @@ class SmoothChart:
 
 
 def orthant_chart(n):
-    from .polyhedral import orthant
-
     return SmoothChart(orthant(n))
 
 
@@ -143,23 +143,24 @@ class TorReport(namedtuple("TorReport", "face degree vanishes witness", defaults
     __slots__ = ()
 
 
-def _wedge_basis(seq, p):
-    return list(combinations(range(len(seq)), p))
+def _koszul_map(seq, p, n, l):
+    """The Koszul differential wedge^p R^s (x) R^l -> wedge^(p-1) R^s (x) R^l of `seq`.
 
-
-def _koszul_column(seq, wedges_p, wedges_prev, n, l, wedge_index, inner):
-    """Image of basis vector (wedge, inner) under the Koszul differential."""
-    col = {}
-    w = wedges_p[wedge_index]
-    prev_index = {wb: i for i, wb in enumerate(wedges_prev)}
-    for q in range(len(w)):
-        rest = w[:q] + w[q + 1:]
-        sign = Fraction(-1) ** q
-        var = seq[w[q]]
-        exp = tuple(1 if t == var else 0 for t in range(n))
-        comp = prev_index[rest] * l + inner
-        col[(exp, comp)] = sign
-    return col
+    Returns (columns, rank of the target). Basis vector (w, i) of either
+    side is component (index of w) * l + i, the wedges w running over the
+    subsets of positions in `seq` in lexicographic order; at p = 0 the map
+    is l zero columns into R^0.
+    """
+    prev_index = {w: i for i, w in enumerate(combinations(range(len(seq)), p - 1))} if p else {}
+    cols = []
+    for w in combinations(range(len(seq)), p):
+        for inner in range(l):
+            col = {}
+            for q in range(p):
+                exp = tuple(1 if t == seq[w[q]] else 0 for t in range(n))
+                col[(exp, prev_index[w[:q] + w[q + 1:]] * l + inner)] = Fraction(-1) ** q
+            cols.append(col)
+    return cols, l * len(prev_index)
 
 
 def _broadcast(cols, l, wedge_count):
@@ -169,6 +170,24 @@ def _broadcast(cols, l, wedge_count):
         for col in cols:
             out.append({(e, w * l + c): v for (e, c), v in col.items()})
     return out
+
+
+def _nonboundary(cols, target, relations, boundaries, n):
+    """The first cycle generator that is not a boundary, or None.
+
+    Cycles are the syzygies of `cols + relations` in R^target cut to their
+    first len(cols) entries. The relations are tracked, not passed as
+    `modulo`: that gives the same cycle module but other generators, and the
+    one returned is the first that is not a boundary. `boundaries` may be
+    lazy: it is read, and its basis built, only when there is a cycle.
+    """
+    k = len(cols)
+    cycles = [{t: c for t, c in z.items() if t[1] < k} for z in syzygy_generators(cols + relations, target, n)]
+    cycles = [z for z in cycles if z]
+    if not cycles:
+        return None
+    basis = reducer_index(buchberger(boundaries, base_key))
+    return next((z for z in cycles if normal_form(z, basis, base_key)), None)
 
 
 def koszul_tor(presentation, seq, degree):
@@ -186,54 +205,22 @@ def koszul_tor(presentation, seq, degree):
     face = tuple(v for v in range(n) if v not in seq)
     if degree < 0:
         raise ValueError("homological degree must be nonnegative")
-    s = len(seq)
+    if degree > len(seq):
+        return TorReport(face=face, degree=degree, vanishes=True)
     l = presentation.nrows
     acols = presentation.columns()
-    if degree > s:
+    d_cols, rank_prev = _koszul_map(seq, degree, n, l)
+    next_cols, rank = _koszul_map(seq, degree + 1, n, l)
+    relations = _broadcast(acols, l, rank_prev // l)
+    boundaries = next_cols + _broadcast(acols, l, rank // l)
+    z = _nonboundary(d_cols, rank_prev, relations, boundaries, n)
+    if z is None:
         return TorReport(face=face, degree=degree, vanishes=True)
-
-    wedges_i = _wedge_basis(seq, degree)
-    wedges_prev = _wedge_basis(seq, degree - 1) if degree >= 1 else []
-    wedges_next = _wedge_basis(seq, degree + 1)
-
-    rank_i = l * len(wedges_i)
-    rank_prev = l * len(wedges_prev)
-
-    if degree == 0:
-        cycles = [{(tuple(0 for _ in range(n)), c): Fraction(1)} for c in range(rank_i)]
-    else:
-        d_cols = [
-            _koszul_column(seq, wedges_i, wedges_prev, n, l, wi, inner)
-            for wi in range(len(wedges_i))
-            for inner in range(l)
-        ]
-        # The relations are tracked too, not passed as `modulo`: that gives
-        # the same cycle module but other generators, and the witness below
-        # is the first generator that is not a boundary.
-        relations_prev = _broadcast(acols, l, len(wedges_prev))
-        syz = syzygy_generators(d_cols + relations_prev, rank_prev, n)
-        cycles = []
-        for sv in syz:
-            v = {(e, c): co for (e, c), co in sv.items() if c < rank_i}
-            if v:
-                cycles.append(v)
-
-    boundary_cols = [
-        _koszul_column(seq, wedges_next, wedges_i, n, l, wi, inner)
-        for wi in range(len(wedges_next))
-        for inner in range(l)
-    ]
-    boundaries = boundary_cols + _broadcast(acols, l, len(wedges_i))
-    bbasis = reducer_index(buchberger(boundaries, base_key))
-
-    for z in cycles:
-        if normal_form(z, bbasis, base_key):
-            witness = {
-                "wedge_basis": [tuple(seq[i] for i in w) for w in wedges_i],
-                "vector": ModuleVector(n, rank_i, z),
-            }
-            return TorReport(face=face, degree=degree, vanishes=False, witness=witness)
-    return TorReport(face=face, degree=degree, vanishes=True)
+    witness = {
+        "wedge_basis": [tuple(seq[i] for i in w) for w in combinations(range(len(seq)), degree)],
+        "vector": ModuleVector(n, rank, z),
+    }
+    return TorReport(face=face, degree=degree, vanishes=False, witness=witness)
 
 
 def _restrict(col, seq):
@@ -247,16 +234,12 @@ def _tor_vanishes(presentation, seq, degree):
     It is the homology of the resolution with the variables of `seq` set to
     zero. R is free over the polynomial ring in the other variables, which
     is all the restricted maps involve, so kernel and image may be taken
-    over R: each cycle generator is tested against the image's basis,
-    which is built only when there is a cycle to test.
+    over R.
     """
     (cols, target), (next_cols, _) = presentation.resolution(degree + 1)[degree - 1:]
-    n = presentation.chart.nvars
-    cycles = syzygy_generators([_restrict(c, seq) for c in cols], target, n)
-    if not cycles:
-        return True
-    image = reducer_index(buchberger([_restrict(c, seq) for c in next_cols], base_key))
-    return not any(normal_form(z, image, base_key) for z in cycles)
+    restricted = [_restrict(c, seq) for c in cols]
+    boundaries = (_restrict(c, seq) for c in next_cols)
+    return _nonboundary(restricted, target, [], boundaries, presentation.chart.nvars) is None
 
 
 def _face_verdicts(presentation, d):

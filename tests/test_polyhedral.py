@@ -253,7 +253,7 @@ class TestCommonRefinement:
         a = star_subdivision(fan, (2, 1))
         b = star_subdivision(fan, (1, 2))
         cr = common_refinement(a, b)
-        assert sorted(cr.ray_set) == [(0, 1), (1, 0), (1, 2), (2, 1)]
+        assert sorted({r for c in cr.max_cones for r in c.rays}) == [(0, 1), (1, 0), (1, 2), (2, 1)]
         assert fan_refines(cr, a) and fan_refines(cr, b)
         assert common_refinement(b, a) == cr
 
@@ -415,7 +415,7 @@ def reference_star_subdivision(fan, point):
     through simplicial cones only, and `Cone` re-proves the rays of every
     new cone extreme."""
     r = primitive(tuple(int(x) for x in point))
-    if r in fan.ray_set and all(len(c.rays) == c.dim for c in fan.max_cones if c.contains(r)):
+    if r in {x for c in fan.max_cones for x in c.rays} and all(len(c.rays) == c.dim for c in fan.max_cones if c.contains(r)):
         return fan
     new_max = []
     for c in fan.max_cones:
@@ -442,7 +442,7 @@ def reference_smooth_fan(stratification):
                 break
         if bad is None:
             return fan
-        existing = fan.ray_set
+        existing = {r for c in fan.max_cones for r in c.rays}
         pick = next((h for h in _hilbert_points(bad) if h not in existing), None)
         if pick is not None:
             fan = reference_star_subdivision(fan, pick)
@@ -496,7 +496,7 @@ class TestSmoothingDifferential:
             fan = stratification_to_smooth_fan(s)
             assert fan.key() == reference_smooth_fan(s).key(), s
             for start in (Fan(s.support, [s.support]), fan):
-                for p in random_support_points(rng, s.support, 3) + sorted(start.ray_set):
+                for p in random_support_points(rng, s.support, 3) + sorted({r for c in start.max_cones for r in c.rays}):
                     assert star_subdivision(start, p).key() == reference_star_subdivision(start, p).key(), (s, p)
 
     def test_det_2198_cone(self):
